@@ -7,14 +7,16 @@ failures, failed selftest), 2 for usage or input errors.
 Every run emits a metadata preamble (version, seed, rng id) so outputs are
 self-describing; nothing in the output depends on time or scheduling.  The
 environment variable GAPEMBED_SEED supplies the default seed; --seed
-overrides it, and a --config file of key=value pairs may set any flag
-(explicit flags win).
+overrides it.  A --config file of key=value pairs may set any flag of the
+subcommand, required ones included; its lines go ahead of the command line,
+so explicit flags win, and an unknown key exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -26,7 +28,7 @@ from .engine import (
     embeddable_prefix,
     extract_embedding,
 )
-from .errors import GapembedError, SequenceFormatError
+from .errors import GapembedError
 from .experiments import (
     TrialPlan,
     estimate_embed_prob,
@@ -83,8 +85,30 @@ def _parse_range(text: str) -> list[int]:
         raise GapembedError(f"malformed range {text!r}; expected A..B or an integer")
 
 
-def _load_config(path: str) -> dict:
-    values = {}
+def _config_argv(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Put the --config file's key=value lines ahead of argv as flag tokens.
+
+    argparse keeps the last value of a repeated flag, so explicit flags win.
+    A true value on a store_true flag gives the bare flag, a false one
+    nothing; a key that names no flag of the subcommand is an error.
+    """
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    if not argv or argv[0] not in subparsers.choices:
+        return argv
+    command = subparsers.choices[argv[0]]
+    pre = argparse.ArgumentParser(prog=f"{parser.prog} {argv[0]}", add_help=False)
+    pre.add_argument("--config", default=None)
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    flags = {
+        a.dest: a
+        for a in command._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    tokens = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -93,38 +117,42 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise GapembedError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def _apply_config(args: argparse.Namespace, option_info: dict) -> None:
-    """Fill in config values for options the user did not pass explicitly."""
-    if not getattr(args, "config", None):
-        return
-    conf = _load_config(args.config)
-    for key, raw in conf.items():
-        if not hasattr(args, key) or key == "config":
-            continue
-        default, coerce = option_info.get(key, (None, None))
-        if getattr(args, key) != default:
-            continue  # explicit flag wins
-        if isinstance(default, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif coerce is not None:
-            value = coerce(raw)
-        else:
-            value = raw
-        setattr(args, key, value)
+            key, val = key.strip(), val.strip()
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
+                raise GapembedError(f"{path}:{lineno}: unknown key {key!r} for {argv[0]}")
+            if action.nargs != 0:
+                tokens.append(f"{action.option_strings[0]}={val}")
+            elif val.lower() in ("1", "true", "yes", "on"):
+                tokens.append(action.option_strings[0])
+            elif val.lower() not in ("0", "false", "no", "off"):
+                raise GapembedError(f"{path}:{lineno}: {key} takes true or false")
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def _load_exponents(path: str) -> ExponentTuple:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
     fields = ("delta", "gamma", "phi", "tau", "tau_prime", "omega", "chi")
-    missing = [f for f in fields if f not in data]
-    if missing:
-        raise GapembedError(f"exponents file lacks fields: {', '.join(missing)}")
-    return ExponentTuple(**{f: Fraction(str(data[f])) for f in fields})
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise GapembedError(f"{path}: expected a JSON object of exponents")
+        missing = [f for f in fields if f not in data]
+        if missing:
+            raise GapembedError(f"exponents file lacks fields: {', '.join(missing)}")
+        return ExponentTuple(**{f: Fraction(str(data[f])) for f in fields})
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GapembedError(f"{path}: {exc}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _open_out(path):
@@ -250,8 +278,9 @@ def cmd_params(args) -> int:
     if report.passed:
         base = base_params(args.m, exponents)
         for p, _facts in level_table(exponents, base, args.levels):
+            R = float(p.R) if p.R <= sys.float_info.max else math.inf  # as lam_pow
             lines.append(
-                f"{p.level},{float(p.R)!r},{p.T!r},{p.Delta!r},{p.Gamma!r},"
+                f"{p.level},{R!r},{p.T!r},{p.Delta!r},{p.Gamma!r},"
                 f"{p.Phi!r},{p.Psi!r},{p.w!r},{p.q_tri!r},{p.q_inv!r},"
                 f"{p.sigma_x!r},{p.sigma_y!r}"
             )
@@ -358,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    command_defaults: dict[str, dict] = {}
-    parser.command_defaults = command_defaults
 
     p = sub.add_parser("embed", help="decide embeddability of a Y prefix into X")
     p.add_argument("--x", required=True, help="X sequence file")
@@ -383,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="level parameter table and constraint report")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--levels", type=_positive_int, required=True)
     p.add_argument("--exponents", default=None, help="JSON file of exponent values")
     p.add_argument("--out", default=None, help="CSV destination (default stdout)")
     p.add_argument("--report", default=None, help="constraint JSON destination")
@@ -396,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None, help=f"default ${ENV_SEED} or 0")
     p.add_argument("--x-length", dest="x_length", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.add_argument("--check", choices=("walls", "holes"), default=None)
@@ -410,29 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_selftest)
 
-    for name, subparser in sub.choices.items():
-        command_defaults[name] = {
-            action.dest: (action.default, action.type) for action in subparser._actions
-        }
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _apply_config(args, parser.command_defaults[args.command])
+        args = parser.parse_args(_config_argv(parser, argv))
         return args.func(args)
-    except SequenceFormatError as exc:
+    except (GapembedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GapembedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

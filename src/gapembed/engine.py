@@ -7,10 +7,8 @@ in the graph with step_max = m.
 
 The per-row state is a bitmask of reachable x-coordinates; one row transition
 is a window-OR (union of shifts by 1..step_max) intersected with the row's
-match mask.  The window-OR merges shifted runs with a two-pointer sweep, which
-is O(number of runs) big-int operations instead of one shift per allowed step;
-heavily fragmented frontiers fall back to a doubling smear (log2(step_max)
-shifts).
+match mask.  The window-OR is a doubling smear: about log2(step_max)
+shift-ORs over the whole mask instead of one shift per allowed step.
 """
 
 from __future__ import annotations
@@ -21,45 +19,19 @@ from typing import Optional
 from .errors import CompositionError, InputBoundsError, OracleSizeError
 from .sequences import BinarySequence
 
-_MERGE_RUN_LIMIT = 48
-
 
 def _window_or(mask: int, step: int) -> int:
     """Union of (mask << d) for d = 1..step."""
     if mask == 0 or step <= 0:
         return 0
-    if step == 1:
-        return mask << 1
-    starts = mask & ~(mask << 1)
-    if starts.bit_count() > _MERGE_RUN_LIMIT:
-        # Doubling smear: cover offsets 0..step-1, then shift once.
-        out = mask
-        covered = 1
-        while covered < step:
-            take = min(covered, step - covered)
-            out |= out << take
-            covered += take
-        return out << 1
-    ends = mask & ~(mask >> 1)
-    out = 0
-    cur_lo = cur_hi = -1
-    while starts:
-        bit = starts & -starts
-        a = bit.bit_length() - 1
-        starts ^= bit
-        bit = ends & -ends
-        b = bit.bit_length() - 1
-        ends ^= bit
-        lo, hi = a + 1, b + step
-        if cur_hi >= 0 and lo <= cur_hi + 1:
-            if hi > cur_hi:
-                cur_hi = hi
-        else:
-            if cur_hi >= 0:
-                out |= (1 << (cur_hi + 1)) - (1 << cur_lo)
-            cur_lo, cur_hi = lo, hi
-    out |= (1 << (cur_hi + 1)) - (1 << cur_lo)
-    return out
+    # Doubling smear: cover offsets 0..step-1, then shift once.
+    out = mask
+    covered = 1
+    while covered < step:
+        take = min(covered, step - covered)
+        out |= out << take
+        covered += take
+    return out << 1
 
 
 def _range_mask(lo: int, hi: int) -> int:
@@ -77,13 +49,8 @@ class ReachFrontier:
     mask: int
 
     def positions(self) -> list[int]:
-        out = []
-        mask = self.mask
-        while mask:
-            bit = mask & -mask
-            out.append(bit.bit_length() - 1)
-            mask ^= bit
-        return out
+        # One pass over the binary digits, least significant first.
+        return [i for i, digit in enumerate(bin(self.mask)[:1:-1]) if digit == "1"]
 
     def contains(self, position: int) -> bool:
         return position >= 0 and bool(self.mask >> position & 1)

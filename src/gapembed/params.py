@@ -49,7 +49,7 @@ def lam_pow(exponent: Fraction) -> float:
     try:
         return float(2.0 ** (float(exponent) / 2))
     except OverflowError:
-        return math.inf
+        return math.inf if exponent > 0 else 0.0
 
 
 def cmp_lam_pow(exponent: Fraction, value: Fraction) -> int:
@@ -61,7 +61,10 @@ def cmp_lam_pow(exponent: Fraction, value: Fraction) -> int:
     if value <= 0:
         return 1
     log2_val = math.log2(value.numerator) - math.log2(value.denominator)
-    diff = float(exponent) / 2 - log2_val
+    try:
+        diff = float(exponent) / 2 - log2_val
+    except OverflowError:  # |exponent| beyond any float: its sign decides
+        return 1 if exponent > 0 else -1
     if abs(diff) > 1e-9:
         return 1 if diff > 0 else -1
     p, q = exponent.numerator, exponent.denominator
@@ -402,7 +405,6 @@ class LevelFacts:
 
     level: int
     delta_ratio_ok: bool  # Delta_k / Delta_{k+1} < slb^2 / 2
-    sigma_monotone: bool
     q_tri_ok: bool
     q_inv_ok: bool
     slope_violations: tuple[str, ...]
@@ -449,7 +451,6 @@ def level_table(
         facts = LevelFacts(
             level=params.level,
             delta_ratio_ok=cmp_lam_pow(ratio_log, base.slb**2 / 2) < 0,
-            sigma_monotone=True,  # the additive bump is nonnegative
             q_tri_ok=params.q_tri < 0.05,
             q_inv_ok=params.q_inv < 0.55,
             slope_violations=tuple(params.slope_sanity()),

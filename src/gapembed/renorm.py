@@ -239,7 +239,7 @@ def detect_correlated_event(
     return False
 
 
-def _missing_hole_event(
+def detect_missing_hole_event(
     X: BinarySequence,
     Y: BinarySequence,
     region: Interval,
@@ -248,13 +248,16 @@ def _missing_hole_event(
     m: int,
     r_star=None,
 ) -> bool:
-    """Exact missing-hole event at level 1.
+    """Decide the structural missing-hole event exactly at level 1 (see the
+    estimator for the probability-conditioned trap designation).
 
     Holds iff some light potential wall of Y with body ]b+delta, b'] inside
     the window [b, b+3*delta] admits no good hole ]a1, a2] whose
     delta-padded extension stays inside `region`.  Goodness at this level is
     the entry-corner symbol match X(a1) = Y(b+delta).
     """
+    if delta < 1:
+        raise InputBoundsError("delta must be >= 1")
     v = b + delta
     light_rank_ok = r_star is None or 2 * m < r_star
     for l in range(m, 2 * m):
@@ -296,22 +299,6 @@ def _good_hole_exists(
             ):
                 return True
     return False
-
-
-def detect_missing_hole_event(
-    X: BinarySequence,
-    Y: BinarySequence,
-    region: Interval,
-    b: int,
-    delta: int,
-    m: int,
-    r_star=None,
-) -> bool:
-    """Decide the structural missing-hole event exactly (see the estimator
-    for the probability-conditioned trap designation)."""
-    if delta < 1:
-        raise InputBoundsError("delta must be >= 1")
-    return _missing_hole_event(X, Y, region, b, delta, m, r_star)
 
 
 @dataclass(frozen=True)

@@ -39,24 +39,6 @@ class BinarySequence:
                 raise SequenceFormatError(f"invalid character {ch!r} at offset {i}", i)
         return cls(bits, len(text))
 
-    @classmethod
-    def from_iterable(cls, symbols) -> "BinarySequence":
-        bits = 0
-        n = 0
-        for s in symbols:
-            if s not in (0, 1):
-                raise InputBoundsError(f"symbol {s!r} is not 0 or 1")
-            bits |= s << n
-            n += 1
-        return cls(bits, n)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes, length: int) -> "BinarySequence":
-        """Take the low `length` bits of little-endian `raw` as symbols."""
-        if 8 * len(raw) < length:
-            raise InputBoundsError("not enough raw bytes for the requested length")
-        return cls(int.from_bytes(raw, "little") & ((1 << length) - 1), length)
-
     def __len__(self) -> int:
         return self.length
 

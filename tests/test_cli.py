@@ -1,11 +1,14 @@
 import json
+import math
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from gapembed.cli import main
 from gapembed.experiments import CSV_HEADER
+from gapembed.params import DEFAULT_EXPONENTS
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,6 +172,58 @@ def test_params_files(tmp_path, capsys):
     assert json.loads(out_json.read_text())
 
 
+_DEFAULT_EXPONENTS_JSON = {k: str(v) for k, v in asdict(DEFAULT_EXPONENTS).items()}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "",
+        json.dumps([1, 2]),
+        json.dumps({**_DEFAULT_EXPONENTS_JSON, "tau": "abc"}),
+        json.dumps({**_DEFAULT_EXPONENTS_JSON, "omega": None}),
+        json.dumps({**_DEFAULT_EXPONENTS_JSON, "chi": [1]}),
+        json.dumps({**_DEFAULT_EXPONENTS_JSON, "phi": "1/0"}),
+    ],
+    ids=["malformed", "empty", "list", "word", "null", "array", "zero-denominator"],
+)
+def test_params_bad_exponents_file_exits_two(tmp_path, capsys, text):
+    expfile = tmp_path / "bad.json"
+    expfile.write_text(text)
+    code, out, err = run_cli(
+        capsys, "params", "--m", "4", "--levels", "2", "--exponents", str(expfile)
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("m", [4, 10])
+def test_params_deep_levels_print_inf(capsys, m):
+    code, out, _ = run_cli(capsys, "params", "--m", str(m), "--levels", "1300")
+    assert code == 0
+    rows = [line.split(",") for line in out.split("\n")[2:1302]]
+    assert [int(row[0]) for row in rows] == list(range(1, 1301))
+    R = [float(row[1]) for row in rows]
+    assert R == sorted(R) and R[-1] == math.inf and R[0] < math.inf
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("params", "--m", "4", "--levels", "0"),
+        ("params", "--m", "4", "--levels", "-3"),
+        ("simulate", "--trials", "5", "--jobs", "0"),
+        ("simulate", "--trials", "5", "--jobs", "-1"),
+    ],
+)
+def test_nonpositive_counts_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- simulate
 
 
@@ -227,6 +282,36 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     _, out_override, _ = run_cli(capsys, "simulate", "--config", str(conf),
                                  "--trials", "10")
     assert ",10," in out_override.strip().split("\n")[2]
+    # an explicit flag equal to its default still beats the file
+    _, out_default, _ = run_cli(capsys, "simulate", "--config", str(conf),
+                                "--trials", "1000")
+    assert ",1000," in out_default.strip().split("\n")[2]
+
+
+def test_config_supplies_required_flags(tmp_path, capsys):
+    x = write_seq(tmp_path, "x.txt", "0110100110")
+    y = write_seq(tmp_path, "y.txt", "101")
+    conf = tmp_path / "embed.conf"
+    conf.write_text(f"x={x}\ny={y}\nm=2\nwitness=true\nformat=json\n")
+    code_conf, out_conf, _ = run_cli(capsys, "embed", "--config", str(conf))
+    code_expl, out_expl, _ = run_cli(capsys, "embed", "--x", x, "--y", y, "--m", "2",
+                                     "--witness", "--format", "json")
+    assert code_conf == code_expl == 0
+    assert out_conf == out_expl
+    conf.write_text(f"x={x}\ny={y}\nm=2\nwitness=false\n")
+    _, out_off, _ = run_cli(capsys, "embed", "--config", str(conf))
+    assert out_off.split("\n")[1] == "embeddable" and "steps" not in out_off
+
+
+@pytest.mark.parametrize("line", ["bogus=1", "config=other.conf", "witness=maybe", "m 2"])
+def test_config_bad_line_exits_two(tmp_path, capsys, line):
+    x = write_seq(tmp_path, "x.txt", "10")
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"{line}\n")
+    code, out, err = run_cli(capsys, "embed", "--config", str(conf),
+                             "--x", x, "--y", x, "--m", "2")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "bad.conf:1" in err
 
 
 def test_selftest_passes(capsys):

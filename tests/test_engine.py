@@ -35,10 +35,17 @@ def test_window_or_matches_naive(mask, step):
 
 
 def test_window_or_fragmented_fallback():
-    # More than 48 runs pushes the doubling branch.
+    # A frontier of 80 one-bit runs: the smear must fill every gap exactly.
     mask = int("01" * 80, 2)
     for step in (2, 5, 17):
         assert _window_or(mask, step) == naive_window_or(mask, step)
+
+
+@settings(max_examples=50)
+@given(st.integers(0, (1 << 5000) - 1))
+def test_positions_lists_set_bits_of_wide_masks(mask):
+    frontier = ReachFrontier(0, mask)
+    assert frontier.positions() == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def test_frontier_step_examples():
