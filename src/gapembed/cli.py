@@ -236,24 +236,17 @@ def cmd_analyze(args) -> int:
 
 def _span_records(X, walls, m, delta):
     """Spanning sequences for maximal wall clusters delimited by external
-    gaps of size >= delta (or the ends of the visible window)."""
-    if not walls:
-        return
-    clusters = []
-    cur = [walls[0]]
-    for w in walls[1:]:
-        gap = w.body.left - max(x.body.right for x in cur)
-        if gap >= delta:
-            clusters.append(cur)
-            cur = [w]
+    gaps of size >= delta (or the ends of the visible window); `walls` come
+    in `find_walls` order."""
+    clusters = []  # [left, running right end] of each cluster
+    for w in walls:
+        if not clusters or w.body.left - clusters[-1][1] >= delta:
+            clusters.append([w.body.left, w.body.right])
         else:
-            cur.append(w)
-    clusters.append(cur)
-    for cluster in clusters:
-        left = min(w.body.left for w in cluster)
-        right = max(w.body.right for w in cluster)
+            clusters[-1][1] = max(clusters[-1][1], w.body.right)
+    for left, right in clusters:
         try:
-            span = spanning_sequence(Interval(left, right), walls, X, m)
+            span = spanning_sequence(Interval(left, right), X, m)
         except GapembedError as exc:
             yield {"kind": "span-error", "left": left, "right": right, "error": str(exc)}
             continue

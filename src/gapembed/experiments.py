@@ -43,6 +43,8 @@ class TrialPlan:
     def __post_init__(self):
         if self.trials < 0 or self.m < 1 or self.L < 0:
             raise InputBoundsError("plan fields out of range")
+        if self.x_length is not None and self.x_length < 0:
+            raise InputBoundsError("x_length must be nonnegative")
         if self.x_length is None:
             object.__setattr__(self, "x_length", self.m * self.L)
 

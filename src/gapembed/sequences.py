@@ -2,12 +2,15 @@
 
 A sequence stores symbols X(1), X(2), ..., X(n); index 0 is reserved for the
 origin convention of embedding paths (the fictitious step n_0 = 0).  Symbols
-live in a single Python int: bit (i - 1) holds X(i).
+live in a single Python int: bit (i - 1) holds X(i).  The same symbols as
+'0'/'1' text, built once per sequence in linear time, answer run and wall
+questions through `str` and `re` scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputBoundsError, SequenceFormatError
 
@@ -31,13 +34,11 @@ class BinarySequence:
 
     @classmethod
     def from_string(cls, text: str) -> "BinarySequence":
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise SequenceFormatError(f"invalid character {ch!r} at offset {i}", i)
-        return cls(bits, len(text))
+        # Validate first: int() would also take '_', whitespace and signs.
+        i = len(text) - len(text.lstrip("01"))
+        if i < len(text):
+            raise SequenceFormatError(f"invalid character {text[i]!r} at offset {i}", i)
+        return cls(int(text[::-1], 2) if text else 0, len(text))
 
     def __len__(self) -> int:
         return self.length
@@ -59,8 +60,13 @@ class BinarySequence:
         seg = (self.bits >> left) & ((1 << (right - left)) - 1)
         return seg == 0 or seg == (1 << (right - left)) - 1
 
+    @cached_property
+    def text(self) -> str:
+        """The symbols as '0'/'1' characters: text[i - 1] is X(i)."""
+        return format(self.bits, f"0{self.length}b")[::-1] if self.length else ""
+
     def to_string(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.length))
+        return self.text
 
     def __repr__(self) -> str:  # keep short for test failure output
         s = self.to_string()
@@ -77,15 +83,12 @@ def load_sequence_file(path: str) -> BinarySequence:
     body = raw
     if raw.endswith(b"\n"):
         body = raw[:-1]
-    bits = 0
-    for off, byte in enumerate(body):
-        if byte == 0x31:
-            bits |= 1 << off
-        elif byte != 0x30:
-            raise SequenceFormatError(
-                f"invalid byte 0x{byte:02x} at offset {off} in {path}", off
-            )
-    return BinarySequence(bits, len(body))
+    off = len(body) - len(body.lstrip(b"01"))
+    if off < len(body):
+        raise SequenceFormatError(
+            f"invalid byte 0x{body[off]:02x} at offset {off} in {path}", off
+        )
+    return BinarySequence.from_string(body.decode("ascii"))
 
 
 def save_sequence_file(path: str, seq: BinarySequence) -> None:

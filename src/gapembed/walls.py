@@ -10,6 +10,11 @@ Level-1 semantics throughout this module:
   X(i) = Y(j) (the origin row/column, where a symbol is undefined, counts as
   clean).
 
+Every wall question is answered from the sequence text (`BinarySequence.text`)
+in linear time: walls are read off the maximal runs `0+|1+`, and "a size-m
+wall starts at i", i.e. ]i, i+m] is constant, is the lookahead
+`(?=0{m}|1{m})` matching at text offset i.
+
 Intervals follow the right-closed convention ]a, b] with a >= -1; a closed
 interval [a, b] is marked by the `closed` flag.  Containment and intersection
 use real-line semantics, so ]i, i+l] lies inside [u, v] iff u <= i and
@@ -18,6 +23,7 @@ i+l <= v.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -148,6 +154,9 @@ def level1_cleanness(X: BinarySequence, Y: BinarySequence, point: Point) -> Clea
     return CleannessReport(point, ll, True, True, True, True, True)
 
 
+_RUNS = re.compile("0+|1+")
+
+
 def find_walls(
     seq: BinarySequence, m: int, orientation: Literal["v", "h"] = "v"
 ) -> list[WallValue]:
@@ -159,22 +168,20 @@ def find_walls(
     """
     if m < 1:
         raise InputBoundsError("m must be >= 1")
-    n = len(seq)
     walls = []
-    run_start = 1
-    for pos in range(1, n + 2):
-        if pos <= n and pos > 1 and seq.symbol(pos) == seq.symbol(pos - 1):
-            continue
-        if pos > 1:
-            run_len = pos - run_start
-            for l in range(m, min(2 * m - 1, run_len) + 1):
-                for i in range(run_start - 1, pos - 1 - l + 1):
-                    walls.append(
-                        WallValue(Interval(i, i + l), 2 * m, orientation, "base-run")
-                    )
-        run_start = pos
-    walls.sort(key=lambda w: (w.body.left, w.size))
+    for run in _RUNS.finditer(seq.text):
+        start, stop = run.span()
+        for i in range(start, stop - m + 1):
+            for l in range(m, min(2 * m, stop - i + 1)):
+                walls.append(WallValue(Interval(i, i + l), 2 * m, orientation, "base-run"))
     return walls
+
+
+def _wall_starts(m: int) -> re.Pattern:
+    """Pattern matching at text offset i iff ]i, i+m] is a size-m wall."""
+    if m < 1:
+        raise InputBoundsError("m must be >= 1")
+    return re.compile(f"(?=0{{{m}}}|1{{{m}}})")
 
 
 def is_external(interval: Interval, walls: Sequence[WallValue]) -> bool:
@@ -241,55 +248,52 @@ def find_dominant_walls(
 
 
 def spanning_sequence(
-    interval: Interval, walls: Sequence[WallValue], seq: BinarySequence, m: int
+    interval: Interval,
+    seq: BinarySequence,
+    m: int,
+    orientation: Literal["v", "h"] = "v",
 ) -> list[WallValue]:
-    """Cover `interval` by disjoint size-m walls separated by hops.
+    """Cover `interval` by disjoint size-m walls of `seq` separated by hops.
 
     Requires the interval to begin and end with a size-m wall (the shape an
     interval surrounded by maximal external intervals necessarily has).  The
     cover starts with the wall at the left end and repeatedly takes the
     closest size-m wall that stays disjoint from its predecessor and at
     distance >= m from the right end, then closes with the wall at the right
-    end.  Gaps between consecutive chosen walls contain no wall.
+    end.  Gaps between consecutive chosen walls contain no wall.  The walls
+    are found by scanning the sequence text; `orientation` labels them.
     """
     A, B = interval.left, interval.right
     if interval.size < m:
         raise StructureError(f"interval {interval} shorter than m={m}")
-    bodies = {(w.body.left, w.body.right) for w in walls}
-
-    def wall_at(i: int) -> bool:
-        return (i, i + m) in bodies
-
-    if not wall_at(A):
+    starts = _wall_starts(m)
+    text = seq.text
+    # re reads a negative pos as 0; no wall starts left of the origin.
+    if A < 0 or not starts.match(text, A):
         raise StructureError(f"no size-{m} wall at the left end of {interval}")
-    if not wall_at(B - m):
+    if not starts.match(text, B - m):
         raise StructureError(f"no size-{m} wall at the right end of {interval}")
     if interval.size < 2 * m:
         if not seq.constant_on(A, B):
             raise StructureError(f"short interval {interval} is not itself a wall")
-        return [WallValue(Interval(A, B), 2 * m, walls[0].orientation if walls else "v")]
+        return [WallValue(Interval(A, B), 2 * m, orientation)]
 
-    orientation = walls[0].orientation if walls else "v"
     chosen = [WallValue(Interval(A, A + m), 2 * m, orientation)]
-    end = A + m
-    while True:
-        nxt = None
-        for t in range(end, B - 2 * m + 1):
-            if wall_at(t):
-                nxt = t
-                break
-        if nxt is None:
-            break
-        chosen.append(WallValue(Interval(nxt, nxt + m), 2 * m, orientation))
-        end = nxt + m
+    # The next wall ]t, t+m] must end by B - m: search with endpos B - m.
+    nxt = starts.search(text, A + m, B - m)
+    while nxt is not None:
+        t = nxt.start()
+        chosen.append(WallValue(Interval(t, t + m), 2 * m, orientation))
+        nxt = starts.search(text, t + m, B - m)
     chosen.append(WallValue(Interval(B - m, B), 2 * m, orientation))
     return chosen
 
 
-def _projection_contains_wall(lo: int, hi: int, walls: Sequence[WallValue]) -> bool:
+def _projection_contains_wall(lo: int, hi: int, seq: BinarySequence, m: int) -> bool:
     # A right-closed body ]c, d] sits inside [lo, hi] iff lo <= c and d <= hi;
-    # the left-open projection ]lo, hi] gives the same condition.
-    return any(lo <= w.body.left and w.body.right <= hi for w in walls)
+    # the left-open projection ]lo, hi] gives the same condition.  Any wall
+    # there contains a size-m one, which the search with endpos hi finds.
+    return _wall_starts(m).search(seq.text, max(lo, 0), hi) is not None
 
 
 def hop_check(
@@ -311,9 +315,9 @@ def hop_check(
         return True
     if openness == "bottom-open" and u1 == v1:
         return True
-    if _projection_contains_wall(u0, v0, find_walls(X, m, "v")):
+    if _projection_contains_wall(u0, v0, X, m):
         return False
-    if _projection_contains_wall(u1, v1, find_walls(Y, m, "h")):
+    if _projection_contains_wall(u1, v1, Y, m):
         return False
     # Inner cleanness: the lower-left corner is automatic; the upper-right
     # corner needs matching symbols (axis points have no symbol and pass).
@@ -367,9 +371,9 @@ def construct_base_path(
     if not (u0 < v0 and u1 < v1):
         raise InputBoundsError("construct_base_path requires u < v coordinatewise")
     a, b = v0 - u0, v1 - u1
-    if _projection_contains_wall(u0, v0, find_walls(X, m, "v")):
+    if _projection_contains_wall(u0, v0, X, m):
         raise StructureError("vertical wall inside the x-projection")
-    if _projection_contains_wall(u1, v1, find_walls(Y, m, "h")):
+    if _projection_contains_wall(u1, v1, Y, m):
         raise StructureError("horizontal wall inside the y-projection")
     if X.symbol(v0) != Y.symbol(v1):
         raise StructureError("corner symbol mismatch: X(v0) != Y(v1)")

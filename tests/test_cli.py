@@ -1,10 +1,16 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapembed.cli import main
 from gapembed.experiments import CSV_HEADER
@@ -319,3 +325,113 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") == 4
+
+
+# ------------------------------------------------------------- golden analyze
+
+
+def test_analyze_golden_corpus(tmp_path, capsys):
+    # sha256 of `analyze --holes --span` stdout, recorded from the list-based
+    # wall search before wall queries read the sequence text.
+    golden = json.loads((DATA / "golden_analyze.json").read_text())
+    ms = set()
+    for i, case in enumerate(golden["cases"]):
+        x = write_seq(tmp_path, f"x{i}.txt", case["x"])
+        y = write_seq(tmp_path, f"y{i}.txt", case["y"])
+        argv = ["analyze", "--x", x, "--y", y, "--m", str(case["m"]), "--holes", "--span"]
+        if case["delta"] is not None:
+            argv += ["--delta", case["delta"]]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == case["lines"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], case
+        ms.add(case["m"])
+    assert ms == {1, 2, 3, 4}
+
+
+# ------------------------------------------------------------- exit-code fuzz
+
+
+def test_simulate_negative_x_length_exits_two(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--trials", "3", "--x-length", "-5")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "x_length" in err
+
+
+_SMALL = ["-3", "-1", "0", "1", "2", "3", "4", "6", "", "x", "1.5", "1e3"]
+_RANGE = ["1", "1..3", "2..2", "1..2", "0..2", "-1..1", "3..1", "a..b", ""]
+_SEQ_BYTES = st.one_of(
+    st.text("01", max_size=30).map(str.encode),
+    st.text("01", max_size=30).map(lambda t: t.encode() + b"\n"),
+    st.binary(max_size=8),
+)
+_EXPONENTS = st.sampled_from([
+    json.dumps({k: str(v) for k, v in asdict(DEFAULT_EXPONENTS).items()}),
+    "{", "[]", "{}", '{"delta": "x"}', "null",
+])
+# Value lists per flag of each subcommand: None marks a file, () a switch.
+_FLAGS = {
+    "embed": {"--x": None, "--y": None, "--m": _SMALL, "--L": ["-2", "0", "3", "12", "x"],
+              "--witness": (), "--format": ["json", "text", "xml"], "--config": None},
+    "analyze": {"--x": None, "--y": None, "--m": _SMALL, "--holes": (), "--span": (),
+                "--delta": ["0", "2.5", "-1", "nan", "inf", "x"], "--config": None},
+    "params": {"--m": ["-2", "0", "1", "4", "12", "x"], "--levels": _SMALL,
+               "--exponents": None, "--config": None},
+    "simulate": {"--m-range": _RANGE, "--L-range": _RANGE, "--seed": _SMALL,
+                 "--x-length": ["-5", "-1", "0", "3", "20", "x"],
+                 "--format": ["csv", "json", "tsv"], "--check": ["walls", "holes", "both"],
+                 "--m-check": _SMALL, "--l": _SMALL, "--config": None},
+}
+_CONFIG_LINES = {
+    "embed": ["m=2", "witness=true", "witness=maybe", "format=json"],
+    "analyze": ["m=2", "holes=yes", "span=0", "delta=1"],
+    "params": ["m=3", "levels=2"],
+    "simulate": ["m-range=1..2", "L_range=2", "seed=4", "x-length=-2"],
+}
+_FILES = {"--x": "x.txt", "--y": "y.txt", "--exponents": "exp.json", "--config": "run.conf"}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_main_exit_codes_are_contract(data):
+    command = data.draw(st.sampled_from(["embed", "analyze", "params", "simulate", "simulate"]))
+    flags = _FLAGS[command]
+    chosen = data.draw(st.permutations([f for f in flags if data.draw(st.booleans())]))
+    with tempfile.TemporaryDirectory() as d:
+        argv = [command]
+        for flag in chosen:
+            values = flags[flag]
+            if flag in _FILES:
+                path = os.path.join(d, _FILES[flag])
+                if data.draw(st.integers(0, 9)):  # else the file is missing
+                    if flag == "--config":
+                        extra = ["bogus=1", "noequals", "# note", ""]
+                        lines = st.sampled_from(_CONFIG_LINES[command] + extra)
+                        raw = "\n".join(data.draw(st.lists(lines, max_size=3))).encode()
+                    elif flag == "--exponents":
+                        raw = data.draw(_EXPONENTS).encode()
+                    else:
+                        raw = data.draw(_SEQ_BYTES)
+                    with open(path, "wb") as fh:
+                        fh.write(raw)
+                argv.append(f"{flag}={path}")
+            elif values == ():
+                argv.append(flag)
+            else:
+                argv.append(f"{flag}={data.draw(st.sampled_from(values))}")
+        # The counts that set the amount of work stay small, and --jobs stays
+        # 1, so no process pool starts.
+        if command == "simulate":
+            argv += ["--jobs=1", f"--trials={data.draw(st.integers(-1, 12))}",
+                     f"--samples={data.draw(st.integers(-1, 40))}"]
+        if command == "params" and "--levels" not in chosen:
+            argv.append(f"--levels={data.draw(st.integers(-1, 4))}")
+        if data.draw(st.integers(0, 19)) == 0:
+            argv.append("--bogus")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = 0 if exc.code is None else exc.code
+        assert code in (0, 1, 2), (argv, code, err.getvalue())

@@ -1,4 +1,9 @@
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapembed import BinarySequence, load_sequence_file, save_sequence_file
 from gapembed.errors import InputBoundsError, SequenceFormatError
@@ -60,3 +65,46 @@ def test_save_load_round_trip(tmp_path):
     s = BinarySequence.from_string("110010")
     save_sequence_file(str(p), s)
     assert load_sequence_file(str(p)) == s
+
+
+def per_bit(text):
+    """Reference construction: OR one bit per '1' symbol."""
+    bits = 0
+    for i, ch in enumerate(text):
+        if ch == "1":
+            bits |= 1 << i
+    return BinarySequence(bits, len(text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parsers_match_per_bit_construction(data):
+    n = data.draw(st.integers(0, 4000))
+    bits = data.draw(st.integers(0, (1 << n) - 1)) if n else 0
+    text = "".join("1" if bits >> i & 1 else "0" for i in range(n))
+    want = per_bit(text)
+    assert want == BinarySequence(bits, n)
+    assert BinarySequence.from_string(text) == want
+    assert BinarySequence(bits, n).to_string() == text
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "seq.txt")
+        newline = data.draw(st.booleans())
+        with open(path, "wb") as fh:
+            fh.write(text.encode() + (b"\n" if newline else b""))
+        got = load_sequence_file(path)
+        assert got == want and got.to_string() == text
+        if n:
+            # One foreign byte anywhere is reported at its offset; int() would
+            # take some of these ('_', ' ', '+') without complaint.
+            off = data.draw(st.integers(0, n - 1))
+            bad = data.draw(st.sampled_from(b"_ +-2\t\x00\xff"))
+            with open(path, "wb") as fh:
+                fh.write(text.encode()[:off] + bytes([bad]) + text.encode()[off + 1 :])
+            with pytest.raises(SequenceFormatError) as err:
+                load_sequence_file(path)
+            assert err.value.offset == off
+            assert f"invalid byte 0x{bad:02x} at offset {off}" in str(err.value)
+            bad_text = text[:off] + chr(bad) + text[off + 1 :]
+            with pytest.raises(SequenceFormatError) as err:
+                BinarySequence.from_string(bad_text)
+            assert err.value.offset == off

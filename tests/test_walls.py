@@ -87,8 +87,7 @@ def test_dominant_contains_intersecting(seq, m, delta):
 
 def test_spanning_singleton():
     seq = BinarySequence.from_string("11111")  # size 5 interval, m = 3
-    walls = find_walls(seq, 3)
-    out = spanning_sequence(Interval(0, 5), walls, seq, 3)
+    out = spanning_sequence(Interval(0, 5), seq, 3)
     assert len(out) == 1 and (out[0].body.left, out[0].body.right) == (0, 5)
 
 
@@ -96,20 +95,18 @@ def test_spanning_two_runs():
     # two size-m runs separated by a wall-free gap larger than m
     seq = BinarySequence.from_string("111" + "0101" + "000"[:3])
     m = 3
-    walls = find_walls(seq, m)
-    out = spanning_sequence(Interval(0, len(seq)), walls, seq, m)
+    out = spanning_sequence(Interval(0, len(seq)), seq, m)
     bodies = [(w.body.left, w.body.right) for w in out]
     assert bodies == [(0, 3), (7, 10)]
 
 
 def test_spanning_precondition_errors():
     seq = BinarySequence.from_string("0101111")
-    walls = find_walls(seq, 3)
     with pytest.raises(StructureError, match="left"):
-        spanning_sequence(Interval(0, 7), walls, seq, 3)
+        spanning_sequence(Interval(0, 7), seq, 3)
     seq2 = BinarySequence.from_string("1110101")
     with pytest.raises(StructureError, match="right"):
-        spanning_sequence(Interval(0, 7), find_walls(seq2, 3), seq2, 3)
+        spanning_sequence(Interval(0, 7), seq2, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,7 +123,7 @@ def test_spanning_properties(data):
         sym = 1 - sym
     seq = BinarySequence.from_string("".join(text))
     walls = find_walls(seq, m)
-    out = spanning_sequence(Interval(0, len(seq)), walls, seq, m)
+    out = spanning_sequence(Interval(0, len(seq)), seq, m)
     # disjoint, ordered, size m (except a single short-interval cover)
     if len(out) == 1:
         assert m <= out[0].size < 2 * m
