@@ -168,8 +168,12 @@ def cmd_embed(args) -> int:
     X = load_sequence_file(args.x)
     Y = load_sequence_file(args.y)
     L = args.L if args.L is not None else len(Y)
-    ok, frontier = embeddable_prefix(X, Y, args.m, L)
-    path = extract_embedding(X, Y, args.m, L) if (ok and args.witness) else None
+    if args.witness:
+        frontier, path = extract_embedding(X, Y, args.m, L, with_frontier=True)
+        ok = not frontier.is_empty()
+    else:
+        ok, frontier = embeddable_prefix(X, Y, args.m, L)
+        path = None
     if args.format == "json":
         doc = {
             "meta": _meta(),

@@ -9,12 +9,21 @@ The per-row state is a bitmask of reachable x-coordinates; one row transition
 is a window-OR (union of shifts by 1..step_max) intersected with the row's
 match mask.  The window-OR is a doubling smear: about log2(step_max)
 shift-ORs over the whole mask instead of one shift per allowed step.
+
+`embeddable_lanes` runs the same DP for many independent pairs at once, one
+pair per bit lane (shift-and matching, Baeza-Yates & Gonnet 1992).  Arrays
+are uint64 with one row per position and one column per word of 64 lanes:
+bit k of word w in row i is symbol i + 1 (or, for the reach state,
+position i) of the pair in lane 64w + k.  The smear then runs along the
+position axis, and the match of row j is XNOR(X lanes, Y(j)'s lane word).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import CompositionError, InputBoundsError, OracleSizeError
 from .sequences import BinarySequence
@@ -149,13 +158,54 @@ def embeddable_prefix(
     return masks[L] != 0, ReachFrontier(L, masks[L])
 
 
+def embeddable_lanes(
+    x_lanes: np.ndarray, y_lanes: np.ndarray, m: int, lanes: int
+) -> int:
+    """Decide m-embeddability of the whole Y for every lane at once.
+
+    `x_lanes` is (len(X), W) and `y_lanes` is (L, W), both uint64 in the lane
+    layout of the module docstring.  Lanes `lanes` and up of the last word
+    are padding and never survive.  Returns the surviving lanes as an int:
+    bit t is set iff the Y of lane t embeds into its X.
+    """
+    if m < 1:
+        raise InputBoundsError("m must be >= 1")
+    n, words = x_lanes.shape
+    live = ((1 << lanes) - 1).to_bytes(8 * words, "little")
+    reach = np.zeros((n + 1, words), dtype=np.uint64)
+    reach[0] = np.frombuffer(live, dtype="<u8")
+    smear = np.empty_like(reach)
+    match = np.empty_like(x_lanes)
+    for y in y_lanes:
+        np.copyto(smear, reach)
+        covered = 1
+        while covered < m:
+            take = min(covered, m - covered)
+            smear[take:] |= smear[:-take]
+            covered += take
+        np.bitwise_xor(x_lanes, ~y, out=match)
+        np.bitwise_and(smear[:-1], match, out=reach[1:])
+        reach[0] = 0
+        if not reach.any():
+            return 0
+    survivors = np.bitwise_or.reduce(reach, axis=0)
+    return int.from_bytes(survivors.astype("<u8").tobytes(), "little")
+
+
 def extract_embedding(
-    X: BinarySequence, Y: BinarySequence, m: int, L: Optional[int] = None
-) -> Optional[EmbeddingPath]:
+    X: BinarySequence,
+    Y: BinarySequence,
+    m: int,
+    L: Optional[int] = None,
+    *,
+    with_frontier: bool = False,
+) -> Optional[EmbeddingPath] | tuple[ReachFrontier, Optional[EmbeddingPath]]:
     """Return a witnessing path when one exists, else None.
 
     Deterministic tie-break: the backward trace from row L picks the smallest
-    final position, then the smallest valid predecessor at every row.
+    final position, then the smallest valid predecessor at every row.  With
+    `with_frontier`, return (row L's frontier, path) from the same DP, for a
+    caller that reports both.
     """
     if L is None:
         L = len(Y)
@@ -164,16 +214,17 @@ def extract_embedding(
     if m < 1:
         raise InputBoundsError("m must be >= 1")
     masks = _frontier_masks(X, Y, m, L)
-    if masks[L] == 0:
-        return None
-    steps = [0] * L
-    pos = (masks[L] & -masks[L]).bit_length() - 1
-    for j in range(L, 0, -1):
-        steps[j - 1] = pos
-        if j > 1:
-            cands = masks[j - 1] & _range_mask(max(pos - m, 0), pos - 1)
-            pos = (cands & -cands).bit_length() - 1
-    return EmbeddingPath(tuple(steps), m)
+    path = None
+    if masks[L]:
+        steps = [0] * L
+        pos = (masks[L] & -masks[L]).bit_length() - 1
+        for j in range(L, 0, -1):
+            steps[j - 1] = pos
+            if j > 1:
+                cands = masks[j - 1] & _range_mask(max(pos - m, 0), pos - 1)
+                pos = (cands & -cands).bit_length() - 1
+        path = EmbeddingPath(tuple(steps), m)
+    return (ReachFrontier(L, masks[L]), path) if with_frontier else path
 
 
 def check_embedding(X: BinarySequence, Y: BinarySequence, path: EmbeddingPath) -> bool:

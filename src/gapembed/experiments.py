@@ -4,6 +4,12 @@ Reproducibility contract: every trial's randomness is a pure function of
 (master_seed, m, L, trial index) through a counter-based generator (see
 `gapembed.rng`), so results do not depend on execution order, chunking, or
 worker count.  Aggregation is a commutative sum of per-trial indicators.
+
+A sweep decides its trials in chunks of bit lanes: trial start + 64w + k of
+a chunk is lane k of word w, and bit i of its stream (X(i + 1) for
+i < x_length, then Y) is bit k of word w in row i of the chunk's lane array
+(see `gapembed.engine.embeddable_lanes`).  `TrialPlan.trial_sequences` gives
+the same trial as a `BinarySequence` pair.
 """
 
 from __future__ import annotations
@@ -16,14 +22,21 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .engine import embeddable_prefix
+from .engine import embeddable_lanes
+from .engine import embeddable_prefix  # looked up by name in bench/tracer.py
 from .errors import InputBoundsError, UnderpoweredError
-from .rng import RNG_ID, stream_bits
+from .rng import RNG_ID, philox, stream_bits, stream_words
 from .sequences import BinarySequence
 from .stats import wilson_interval
 from .walls import Interval, WallValue, find_fitting_hole
 
 CSV_HEADER = "m,L,trials,successes,p_hat,ci_low,ci_high,rng_id,master_seed"
+
+# A lane chunk holds up to _CHUNK_WORDS words of 64 trials; for long trials
+# it shrinks so that one (x_length + L, words) array stays within
+# _CHUNK_BYTES.
+_CHUNK_WORDS = 16
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -96,12 +109,36 @@ class EstimateRow:
         )
 
 
+def _trial_lanes(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
+    """Stream bits of trials start..stop-1 in lane layout, (x_length + L, W).
+
+    Transposed 64 trials at a time: unpack a (64, words) block of streams to
+    one byte per bit, then pack along the trial axis."""
+    nbits = plan.x_length + plan.L
+    nwords = -(-nbits // 64)
+    lanes = np.zeros((nbits, -(-(stop - start) // 64)), dtype=np.uint64)
+    block = np.empty((64, nwords), dtype="<u8")
+    for w, lo in enumerate(range(start, stop, 64)):
+        hi = min(lo + 64, stop)
+        for i, t in enumerate(range(lo, hi)):
+            block[i] = stream_words(plan.master_seed, (t, plan.m, plan.L), nwords)
+        block[hi - lo :] = 0
+        bits = np.unpackbits(block.view(np.uint8), axis=1, count=nbits, bitorder="little")
+        packed = np.packbits(bits, axis=0, bitorder="little")
+        lanes[:, w] = np.ascontiguousarray(packed.T).view("<u8")[:, 0]
+    return lanes
+
+
 def _count_successes(plan: TrialPlan, start: int, stop: int) -> int:
+    """Successes among trials start..stop-1, decided one lane chunk at a time."""
+    words = min(_CHUNK_WORDS, _CHUNK_BYTES // (8 * (plan.x_length + plan.L)))
+    chunk = 64 * max(words, 1)
     count = 0
-    for t in range(start, stop):
-        X, Y = plan.trial_sequences(t)
-        ok, _ = embeddable_prefix(X, Y, plan.m, plan.L)
-        count += ok
+    for lo in range(start, stop, chunk):
+        hi = min(lo + chunk, stop)
+        lanes = _trial_lanes(plan, lo, hi)
+        x_lanes, y_lanes = lanes[: plan.x_length], lanes[plan.x_length :]
+        count += embeddable_lanes(x_lanes, y_lanes, plan.m, hi - lo).bit_count()
     return count
 
 
@@ -203,6 +240,8 @@ class WallFrequencyReport:
 
 
 def _z_score(rate: float, p: float, n: int) -> float:
+    if p == 1.0:  # l = 1: every sample is a wall, so rate == p with no spread
+        return 0.0
     return (rate - p) / (p * (1 - p) / n) ** 0.5
 
 
@@ -221,8 +260,7 @@ def wall_frequency_check(
         raise InputBoundsError("l too large for the vectorized sampler")
     if samples < 1:
         raise UnderpoweredError("need at least one sample")
-    bitgen = np.random.Philox(counter=[0, 0, m, l], key=[seed & (2**64 - 1), 0])
-    words = np.random.Generator(bitgen).integers(
+    words = np.random.Generator(philox(seed, (0, m, l))).integers(
         0, 1 << l, size=samples, dtype=np.uint64
     )
     occurrences = int(((words == 0) | (words == (1 << l) - 1)).sum())

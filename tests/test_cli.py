@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapembed import engine
 from gapembed.cli import main
 from gapembed.experiments import CSV_HEADER
 from gapembed.params import DEFAULT_EXPONENTS
@@ -54,6 +55,25 @@ def test_embed_witness_json(tmp_path, capsys):
     assert doc["path"] == {"m": 2, "steps": [1]}
     assert doc["frontier"] == {"row": 1, "positions": [1]}
     assert doc["meta"]["version"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_embed_witness_runs_one_dp(tmp_path, capsys, monkeypatch, fmt):
+    x = write_seq(tmp_path, "x.txt", "0110100111010")
+    y = write_seq(tmp_path, "y.txt", "01101")
+    calls = []
+    dp = engine._frontier_masks
+    monkeypatch.setattr(engine, "_frontier_masks", lambda *a, **k: calls.append(a) or dp(*a, **k))
+    argv = ["embed", "--x", x, "--y", y, "--m", "2", "--format", fmt]
+    _, plain, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--witness")
+    assert code == 0 and len(calls) == 2
+    if fmt == "json":
+        doc, base = json.loads(out), json.loads(plain)
+        assert doc["frontier"] == base["frontier"] and doc["embeddable"] is True
+        assert doc["path"] == {"m": 2, "steps": [1, 2, 3, 4, 5]}
+    else:
+        assert out == plain + "steps 1 2 3 4 5\n"
 
 
 def test_embed_malformed_file(tmp_path, capsys):
@@ -272,6 +292,44 @@ def test_simulate_checks(capsys):
     )
     assert code == 0
     assert 0.3 <= json.loads(out)["rate"] <= 0.7
+
+
+def test_simulate_check_walls_size_one(capsys):
+    # m = l = 1: every sample is a wall, p_counted is 1 and has no spread.
+    code, out, _ = run_cli(
+        capsys, "simulate", "--check", "walls", "--m-check", "1", "--l", "1", "--samples", "5"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rate"] == doc["p_counted"] == 1.0 and doc["z_counted"] == 0.0
+
+
+def _golden_simulate_argv(case, jobs):
+    argv = [
+        "simulate", "--m-range", "1..6", "--L-range", f"{case['L']}..{case['L']}",
+        "--trials", str(case["trials"]), "--seed", str(case["seed"]),
+        "--format", case["format"], "--jobs", str(jobs),
+    ]
+    if case["x_length"] is not None:
+        argv += ["--x-length", str(case["x_length"])]
+    return argv
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_simulate_golden_corpus(capsys, jobs):
+    # sha256 of `simulate` stdout, recorded with the per-trial big-int DP
+    # before trials became bit lanes: seeds below 2^63, m 1..6, L 0/1/16/40,
+    # x_length unset/0/7/24, trials on both sides of a 64-lane word and of
+    # a 1024-trial chunk, CSV and JSON.
+    golden = json.loads((DATA / "golden_simulate.json").read_text())
+    for case in golden["cases"]:
+        code, out, _ = run_cli(capsys, *_golden_simulate_argv(case, jobs))
+        assert code == 0
+        assert out.count("\n") == case["lines"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], case
+    cases = golden["cases"]
+    assert {c["trials"] for c in cases} == {63, 64, 65, 1025}
+    assert {c["format"] for c in cases} == {"csv", "json"}
 
 
 # ------------------------------------------------------------- config, selftest
