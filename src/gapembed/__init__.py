@@ -44,15 +44,11 @@ from .renorm import (
     LevelStructures,
     compound_walls,
     designate_emerging_walls,
-    detect_correlated_event,
     detect_emerging_barrier,
     detect_missing_hole_event,
-    diagonal_distance,
     estimate_missing_hole_trap,
     finish_step,
-    in_channel,
     promote_cleanness,
-    promote_trap_cleanness,
 )
 from .sequences import BinarySequence, load_sequence_file, save_sequence_file
 from .walls import (

@@ -213,11 +213,8 @@ def cmd_analyze(args) -> int:
         for w in find_walls(Y, m, "h"):
             out.append(json.dumps(w.to_json()))
     if args.holes:
-        slb = Fraction(1, 2 * m)
         for w in x_walls:
-            hole = find_fitting_hole(
-                w, Interval(0, max(len(Y) - 1, 0), closed=True), X, Y, slb
-            )
+            hole = find_fitting_hole(w, Interval(0, max(len(Y) - 1, 0), closed=True), X, Y)
             if hole is not None:
                 out.append(
                     json.dumps(

@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -310,8 +309,8 @@ class HoleFrequencyReport:
 def hole_frequency_check(m: int, samples: int, seed: int = 0) -> HoleFrequencyReport:
     """Fix a vertical wall (a constant run of length m); per sample draw a
     fresh Y and ask the hole finder whether a fitting hole starts at a fixed
-    offset.  A width-1 hole there needs one fair symbol match, so the rate is
-    1/2."""
+    offset.  One starts there iff Y(offset + 1) equals the wall's symbol, the
+    one symbol the finder reads, so the rate is 1/2."""
     if samples < 1:
         raise UnderpoweredError("need at least one sample")
     if m < 2:
@@ -321,13 +320,11 @@ def hole_frequency_check(m: int, samples: int, seed: int = 0) -> HoleFrequencyRe
     X = BinarySequence.from_string("00" + "1" * m + "0101")
     wall = WallValue(Interval(i0, i0 + m), 2 * m, "v")
     offset = 2
-    y_len = offset + 2 * m * m + 1
+    y_len = offset + 1
     occurrences = 0
     for t in range(samples):
         Y = BinarySequence(stream_bits(seed, (t, m, 0x410), y_len), y_len)
-        hole = find_fitting_hole(
-            wall, Interval(offset, offset, closed=True), X, Y, Fraction(1, 2 * m)
-        )
+        hole = find_fitting_hole(wall, Interval(offset, offset, closed=True), X, Y)
         occurrences += hole is not None
     rate = occurrences / samples
     return HoleFrequencyReport(

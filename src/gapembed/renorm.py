@@ -1,11 +1,11 @@
 """Structural scale-up operators: one hierarchy level to the next.
 
 Exactly computable parts (compound walls, cleanness promotion, the finish
-step, emerging-wall designation, diagonal geometry) are implemented as stated.
-The probability-conditioned designations (correlated traps, missing-hole
-traps, emerging barriers) split into an exact structural event plus a Monte
-Carlo estimate of the conditional probability, with Wilson confidence
-intervals; the exact conditionals are not computable at realistic scales.
+step, emerging-wall designation) are implemented as stated.  The
+probability-conditioned designations (missing-hole traps, emerging barriers)
+split into an exact structural event plus a Monte Carlo estimate of the
+conditional probability, with Wilson confidence intervals; the exact
+conditionals are not computable at realistic scales.
 
 Trap rectangles are closed and written ((x0, y0), (x1, y1)).
 """
@@ -145,24 +145,6 @@ def promote_cleanness(
     return True
 
 
-def _rect_distance(point: Point, rect: Rect) -> int:
-    (x0, y0), (x1, y1) = rect
-    px, py = point
-    dx = max(x0 - px, px - x1, 0)
-    dy = max(y0 - py, py - y1, 0)
-    return max(dx, dy)
-
-
-def promote_trap_cleanness(
-    point: Point, traps: Sequence[Rect], gamma, level_trap_clean: bool
-) -> bool:
-    """Trap-cleanness at the next level: previous cleanness plus every
-    contained trap at max-metric distance >= gamma from the point."""
-    if not level_trap_clean:
-        return False
-    return all(_rect_distance(point, trap) >= gamma for trap in traps)
-
-
 @dataclass(frozen=True)
 class LevelStructures:
     """Walls and traps of one level plus the structures formed during scale-up."""
@@ -212,31 +194,6 @@ def emerging_span(kind: str, slb, delta, gamma):
     if kind == "missing-hole":
         return gamma
     raise InputBoundsError(f"unknown event kind {kind!r}")
-
-
-def detect_correlated_event(
-    region_x: Interval, region_y: Interval, traps: Sequence[Rect]
-) -> bool:
-    """Exact correlated event: the rectangle region_x x region_y contains at
-    least four traps with pairwise disjoint x-projections."""
-    inside = [
-        t
-        for t in traps
-        if region_x.contains_point(t[0][0])
-        and region_x.contains_point(t[1][0])
-        and region_y.contains_point(t[0][1])
-        and region_y.contains_point(t[1][1])
-    ]
-    inside.sort(key=lambda t: t[1][0])
-    count = 0
-    frontier = None
-    for t in inside:
-        if frontier is None or t[0][0] > frontier:
-            count += 1
-            frontier = t[1][0]
-            if count >= 4:
-                return True
-    return False
 
 
 def detect_missing_hole_event(
@@ -458,20 +415,3 @@ def designate_emerging_walls(
             if all(not pw.body.intersects(w.body) for w in designated):
                 designated.append(pw)
     return designated
-
-
-def diagonal_distance(u: Point, v_prime: tuple, a: Point) -> Fraction:
-    """Signed distance of `a` above the line through u with the slope set by
-    v_prime: (a1 - u1) - slope(u, v') * (a0 - u0).  Exact rationals."""
-    u0, u1 = u
-    v0, v1 = Fraction(v_prime[0]), Fraction(v_prime[1])
-    if not v0 > u0:
-        raise InputBoundsError("diagonal requires u0 < v'0")
-    slope = (v1 - u1) / (v0 - u0)
-    return (Fraction(a[1]) - u1) - slope * (Fraction(a[0]) - u0)
-
-
-def in_channel(u: Point, v_prime: tuple, h1, h2, w: Point) -> bool:
-    """Channel membership: h1 < d(w) <= h2, half-open exactly as written."""
-    d = diagonal_distance(u, v_prime, w)
-    return Fraction(h1) < d <= Fraction(h2)

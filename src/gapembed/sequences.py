@@ -54,11 +54,14 @@ class BinarySequence:
         return self._ones if symbol else self._zeros
 
     def constant_on(self, left: int, right: int) -> bool:
-        """True iff X is constant on the integer points of ]left, right]."""
+        """True iff X is constant on the integer points of ]left, right],
+        which must lie inside 0..length."""
+        if left < 0 or right > self.length:
+            raise InputBoundsError(f"]{left}, {right}] outside 0..{self.length}")
         if right - left < 2:
             return True
-        seg = (self.bits >> left) & ((1 << (right - left)) - 1)
-        return seg == 0 or seg == (1 << (right - left)) - 1
+        seg = self.text[left:right]
+        return "0" not in seg or "1" not in seg
 
     @cached_property
     def text(self) -> str:

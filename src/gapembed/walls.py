@@ -13,7 +13,9 @@ Level-1 semantics throughout this module:
 Every wall question is answered from the sequence text (`BinarySequence.text`)
 in linear time: walls are read off the maximal runs `0+|1+`, and "a size-m
 wall starts at i", i.e. ]i, i+m] is constant, is the lookahead
-`(?=0{m}|1{m})` matching at text offset i.
+`(?=0{m}|1{m})` matching at text offset i.  Holes through a vertical wall
+]c, d] are read off Y's text too: the first one is ]a, a+1] at the first
+a with Y(a+1) = X(d) (see `find_fitting_hole`).
 
 Intervals follow the right-closed convention ]a, b] with a >= -1; a closed
 interval [a, b] is marked by the `closed` flag.  Containment and intersection
@@ -29,7 +31,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Literal, Optional, Sequence
 
-from .engine import rect_reachable
+from .engine import rect_reachable  # looked up by name in bench/tracer.py
 from .errors import InputBoundsError, StructureError
 from .sequences import BinarySequence
 
@@ -404,43 +406,35 @@ def construct_base_path(
 
 
 def find_fitting_hole(
-    wall: WallValue,
-    start_range: Interval,
-    X: BinarySequence,
-    Y: BinarySequence,
-    slb,
-    step_max: Optional[int] = None,
+    wall: WallValue, start_range: Interval, X: BinarySequence, Y: BinarySequence
 ) -> Optional[Hole]:
-    """First hole (smallest left endpoint, then smallest size) crossing `wall`.
+    """First hole (smallest left endpoint, then smallest size) crossing a
+    level-1 vertical wall, read off Y's text.
 
-    A hole through a vertical wall is an interval ]a, a+s] of the other axis
-    such that the far corner of ]a, a+s] x [body] is reachable from the near
-    one inside the rectangle, with s <= |body| / slb.  The graph step bound
-    defaults to 3m derived from slb = 1/2m.
+    A hole is an interval ]a, a+s] of Y such that (d, a+s) is reachable from
+    (c, a) through the wall's body ]c, d] in steps of at most 3m, with
+    m = rank/2.  X is constant on the body, so the first step of any crossing
+    lands on the body's symbol, and one step of size d - c < 2m spans it:
+    the first hole is ]a, a+1] for the first start a >= 0 in `start_range`
+    with Y(a+1) = X(d), or None.  A wall outside that contract (vertical,
+    base-run, body inside X and constant, m <= size < 2m) raises
+    `StructureError` naming the failing clause.
     """
-    slb = Fraction(slb)
-    if step_max is None:
-        three_m = 3 / (2 * slb)
-        if three_m.denominator != 1:
-            raise InputBoundsError("cannot derive step bound from slb; pass step_max")
-        step_max = int(three_m)
-    body = wall.body
-    max_size = int(Fraction(body.size) / slb)
-    through_len = len(Y) if wall.orientation == "v" else len(X)
-    for a in start_range.integers():
-        if a < 0:
-            continue
-        for s in range(1, max_size + 1):
-            if a + s > through_len:
-                break
-            if wall.orientation == "v":
-                entry, exit_ = (body.left, a), (body.right, a + s)
-                ok = rect_reachable(
-                    X, Y, entry, exit_, step_max, x_lo=body.left, x_hi=body.right
-                )
-            else:
-                entry, exit_ = (a, body.left), (a + s, body.right)
-                ok = rect_reachable(X, Y, entry, exit_, step_max, x_lo=a + 1, x_hi=a + s)
-            if ok:
-                return Hole(Interval(a, a + s), wall, entry, exit_)
-    return None
+    c, d = wall.body.left, wall.body.right
+    if wall.orientation != "v":
+        raise StructureError("hole search needs a vertical wall")
+    if wall.kind != "base-run":
+        raise StructureError(f"hole search needs a base-run wall, not {wall.kind!r}")
+    if c < 0 or d > len(X):
+        raise StructureError(f"wall body ]{c}, {d}] is not inside X (length {len(X)})")
+    if not X.constant_on(c, d):
+        raise StructureError(f"X is not constant on the wall body ]{c}, {d}]")
+    m = Fraction(wall.rank) / 2
+    if not m <= d - c < 2 * m:
+        raise StructureError(f"wall size {d - c} outside [m, 2m) for m = {m}")
+    lo = max(start_range.integers().start, 0)
+    # Y(a+1) is text[a]; str.find clips an end past len(Y).
+    a = Y.text.find(X.text[d - 1], lo, start_range.right + 1)
+    if a < 0:
+        return None
+    return Hole(Interval(a, a + 1), wall, (c, a), (d, a + 1))

@@ -407,6 +407,38 @@ def test_analyze_golden_corpus(tmp_path, capsys):
     assert ms == {1, 2, 3, 4}
 
 
+def test_check_holes_golden_corpus(capsys):
+    # sha256 of `simulate --check holes` stdout, recorded while each sample
+    # still ran the rect_reachable hole search: m 2..5, two seeds, 1 and 2000
+    # samples.
+    golden = json.loads((DATA / "golden_check_holes.json").read_text())
+    for case in golden["cases"]:
+        code, out, _ = run_cli(
+            capsys, "simulate", "--check", "holes", "--m-check", str(case["m"]),
+            "--samples", str(case["samples"]), "--seed", str(case["seed"]),
+        )
+        assert code == 0
+        assert out.count("\n") == case["lines"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], case
+    assert {c["m"] for c in golden["cases"]} == {2, 3, 4, 5}
+
+
+def test_hole_paths_run_no_dp(tmp_path, capsys, monkeypatch):
+    # Level-1 holes are read off Y's text: no reachability DP may run.
+    def no_dp(*args, **kwargs):
+        raise AssertionError("reachability DP on a hole path")
+
+    monkeypatch.setattr(engine, "_frontier_masks", no_dp)
+    x = write_seq(tmp_path, "x.txt", "0111000110100001111001011100")
+    y = write_seq(tmp_path, "y.txt", "0010111010")
+    code, out, _ = run_cli(capsys, "analyze", "--x", x, "--y", y, "--m", "3", "--holes", "--span")
+    assert code == 0
+    assert '"kind": "hole"' in out
+    code, out, _ = run_cli(capsys, "simulate", "--check", "holes", "--samples", "500")
+    assert code == 0
+    assert 0 < json.loads(out)["occurrences"] < 500
+
+
 # ------------------------------------------------------------- exit-code fuzz
 
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -14,15 +13,11 @@ from gapembed import (
     WallValue,
     compound_walls,
     designate_emerging_walls,
-    detect_correlated_event,
     detect_emerging_barrier,
     detect_missing_hole_event,
-    diagonal_distance,
     estimate_missing_hole_trap,
     finish_step,
-    in_channel,
     promote_cleanness,
-    promote_trap_cleanness,
 )
 from gapembed.errors import UnderpoweredError
 from gapembed.renorm import emerging_span, log_lam_floor
@@ -139,14 +134,6 @@ def test_promote_cleanness_matches_definition(data):
     assert got == (not blocked)
 
 
-def test_promote_trap_cleanness():
-    trap = ((5, 5), (7, 8))
-    assert promote_trap_cleanness((0, 0), [trap], 5, True)
-    assert not promote_trap_cleanness((1, 2), [trap], 5, True)
-    assert not promote_trap_cleanness((6, 6), [trap], 1, True)  # inside, distance 0
-    assert not promote_trap_cleanness((0, 0), [], 5, False)
-
-
 # ------------------------------------------------------------- finish
 
 
@@ -213,41 +200,6 @@ def test_emerging_span_values():
     assert emerging_span("correlated-short", F(1, 8), 2, 100) == 29 * 8 * 2
     assert emerging_span("correlated-long", F(1, 8), 2, 100) == 9 * 8 * 100
     assert emerging_span("missing-hole", F(1, 8), 2, 100) == 100
-
-
-def test_correlated_event_cases():
-    region_x = Interval(0, 40, closed=True)
-    region_y = Interval(0, 10, closed=True)
-    assert not detect_correlated_event(region_x, region_y, [])
-    disjoint = [((i * 6, 1), (i * 6 + 2, 4)) for i in range(4)]
-    assert detect_correlated_event(region_x, region_y, disjoint)
-    assert not detect_correlated_event(region_x, region_y, disjoint[:3])
-    overlapping = [((0, 1), (4, 3)), ((1, 2), (5, 4)), ((2, 0), (6, 2)), ((3, 1), (7, 3))]
-    assert not detect_correlated_event(region_x, region_y, overlapping)
-    outside = disjoint[:3] + [((50, 1), (52, 2))]
-    assert not detect_correlated_event(region_x, region_y, outside)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_correlated_event_matches_subset_search(data):
-    rng = random.Random(data.draw(st.integers(0, 10**9)))
-    region_x = Interval(0, 30, closed=True)
-    region_y = Interval(0, 8, closed=True)
-    traps = []
-    for _ in range(data.draw(st.integers(0, 7))):
-        x0 = rng.randint(0, 28)
-        y0 = rng.randint(0, 6)
-        traps.append(((x0, y0), (min(30, x0 + rng.randint(0, 6)), min(8, y0 + 2))))
-    got = detect_correlated_event(region_x, region_y, traps)
-    expected = any(
-        all(
-            a[1][0] < b[0][0] or b[1][0] < a[0][0]
-            for a, b in itertools.combinations(combo, 2)
-        )
-        for combo in itertools.combinations(traps, 4)
-    )
-    assert got == expected
 
 
 def _mh_setup(y_text):
@@ -369,44 +321,3 @@ def test_emerging_designation_order():
         }
     )
     assert out == [short1, lhole, long2]
-
-
-# ------------------------------------------------------------- diagonal
-
-
-def test_diagonal_on_line_zero():
-    assert diagonal_distance((0, 0), (4, 2), (2, 1)) == 0
-    assert diagonal_distance((1, 1), (F(7, 2), F(2)), (1, 1)) == 0
-
-
-def test_diagonal_displayed_identity():
-    u, vp = (0, 0), (5, 2)
-    rng = random.Random(3)
-    for _ in range(40):
-        w = (rng.randint(0, 20), rng.randint(0, 20))
-        w2 = (rng.randint(0, 20), rng.randint(0, 20))
-        lhs = diagonal_distance(u, vp, w2) - diagonal_distance(u, vp, w)
-        slope = F(2, 5)
-        assert lhs == (w2[1] - w[1]) - slope * (w2[0] - w[0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_diagonal_lipschitz(data):
-    sigma_y = data.draw(st.integers(2, 10))
-    u = (data.draw(st.integers(0, 10)), data.draw(st.integers(0, 10)))
-    dx = data.draw(st.integers(1, 20))
-    dy = data.draw(st.integers(0, dx // sigma_y))  # slope <= 1/sigma_y
-    vp = (u[0] + dx, u[1] + dy)
-    w = (data.draw(st.integers(0, 30)), data.draw(st.integers(0, 30)))
-    w2 = (data.draw(st.integers(0, 30)), data.draw(st.integers(0, 30)))
-    lhs = abs(diagonal_distance(u, vp, w2) - diagonal_distance(u, vp, w))
-    assert lhs <= abs(w2[1] - w[1]) + F(abs(w2[0] - w[0]), sigma_y)
-
-
-def test_in_channel_half_open():
-    u, vp = (0, 0), (4, 2)
-    # d((2,2)) = 2 - 1 = 1
-    assert in_channel(u, vp, 0, 1, (2, 2))
-    assert not in_channel(u, vp, 1, 2, (2, 2))  # strict lower bound
-    assert in_channel(u, vp, F(1, 2), F(3, 2), (2, 2))

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from gapembed import BinarySequence, load_sequence_file, save_sequence_file
 from gapembed.errors import InputBoundsError, SequenceFormatError
 
+from conftest import binary_sequences
+
 
 def test_one_based_indexing():
     s = BinarySequence.from_string("0110")
@@ -33,6 +35,28 @@ def test_constant_on():
     assert s.constant_on(2, 4)
     assert not s.constant_on(1, 3)
     assert s.constant_on(3, 4)  # single point
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_constant_on_matches_symbols(data):
+    s = data.draw(binary_sequences(max_length=12))
+    n = len(s)
+    left = data.draw(st.integers(-2, n + 2))
+    right = data.draw(st.integers(-2, n + 3))
+    if left < 0 or right > n:
+        with pytest.raises(InputBoundsError):
+            s.constant_on(left, right)
+        return
+    points = range(left + 1, right + 1)
+    assert s.constant_on(left, right) == (len({s.symbol(i) for i in points}) <= 1)
+
+
+def test_constant_on_out_of_range():
+    with pytest.raises(InputBoundsError):
+        BinarySequence.from_string("0110").constant_on(-1, 2)
+    with pytest.raises(InputBoundsError):
+        BinarySequence.from_string("0000").constant_on(2, 6)  # zeros past the end
 
 
 def test_round_trip_strings():

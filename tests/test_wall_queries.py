@@ -1,18 +1,30 @@
 """Wall queries that read the sequence text, checked against wall-list oracles.
 
-The oracles are the list-based forms these queries replaced: the spanning
-greedy that looks walls up in a set of all wall bodies, and the projection
-test that searches the full `find_walls` list.
+The oracles are the forms these queries replaced: the spanning greedy that
+looks walls up in a set of all wall bodies, the projection test that searches
+the full `find_walls` list, and the hole search that runs one `rect_reachable`
+DP per candidate hole.
 """
 
 import random
+from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapembed import BinarySequence, Interval, WallValue, find_walls, spanning_sequence
-from gapembed.errors import StructureError
+from gapembed import (
+    BinarySequence,
+    Hole,
+    Interval,
+    WallValue,
+    find_fitting_hole,
+    find_walls,
+    rect_reachable,
+    spanning_sequence,
+)
+from gapembed.errors import InputBoundsError, StructureError
 from gapembed.walls import _projection_contains_wall
 
 from conftest import binary_sequences
@@ -52,6 +64,49 @@ def spanning_sequence_oracle(interval, walls, seq, m):
         end = nxt + m
     chosen.append(WallValue(Interval(B - m, B), 2 * m, orientation))
     return chosen
+
+
+def find_fitting_hole_oracle(
+    wall: WallValue,
+    start_range: Interval,
+    X: BinarySequence,
+    Y: BinarySequence,
+    slb,
+    step_max: Optional[int] = None,
+) -> Optional[Hole]:
+    """First hole (smallest left endpoint, then smallest size) crossing `wall`.
+
+    A hole through a vertical wall is an interval ]a, a+s] of the other axis
+    such that the far corner of ]a, a+s] x [body] is reachable from the near
+    one inside the rectangle, with s <= |body| / slb.  The graph step bound
+    defaults to 3m derived from slb = 1/2m.
+    """
+    slb = Fraction(slb)
+    if step_max is None:
+        three_m = 3 / (2 * slb)
+        if three_m.denominator != 1:
+            raise InputBoundsError("cannot derive step bound from slb; pass step_max")
+        step_max = int(three_m)
+    body = wall.body
+    max_size = int(Fraction(body.size) / slb)
+    through_len = len(Y) if wall.orientation == "v" else len(X)
+    for a in start_range.integers():
+        if a < 0:
+            continue
+        for s in range(1, max_size + 1):
+            if a + s > through_len:
+                break
+            if wall.orientation == "v":
+                entry, exit_ = (body.left, a), (body.right, a + s)
+                ok = rect_reachable(
+                    X, Y, entry, exit_, step_max, x_lo=body.left, x_hi=body.right
+                )
+            else:
+                entry, exit_ = (a, body.left), (a + s, body.right)
+                ok = rect_reachable(X, Y, entry, exit_, step_max, x_lo=a + 1, x_hi=a + s)
+            if ok:
+                return Hole(Interval(a, a + s), wall, entry, exit_)
+    return None
 
 
 def projection_oracle(lo, hi, walls):
@@ -147,3 +202,49 @@ def test_wall_queries_read_no_single_symbols(monkeypatch):
     assert not _projection_contains_wall(0, walls[0].body.right - 1, seq, m)
     with pytest.raises(StructureError, match="left end"):
         spanning_sequence(Interval(0, right), seq, m)
+
+
+# ------------------------------------------------------------- holes
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_closed_form_hole_matches_search(data):
+    m = data.draw(st.integers(1, 6))
+    size = data.draw(st.integers(m, 2 * m - 1))
+    sym = data.draw(st.sampled_from("01"))
+    prefix = data.draw(binary_sequences(max_length=40 - size)).text
+    suffix = data.draw(binary_sequences(max_length=40 - size - len(prefix))).text
+    if data.draw(st.booleans()):
+        suffix = ""  # the wall ends at len(X)
+    X = BinarySequence.from_string(prefix + sym * size + suffix)
+    wall = WallValue(Interval(len(prefix), len(prefix) + size), 2 * m)
+    Y = data.draw(binary_sequences(max_length=30))
+    left = data.draw(st.integers(-1, len(Y) + 2))
+    right = data.draw(st.integers(left, len(Y) + 3))
+    start_range = Interval(left, right, closed=data.draw(st.booleans()))
+    got = find_fitting_hole(wall, start_range, X, Y)
+    assert got == find_fitting_hole_oracle(wall, start_range, X, Y, Fraction(1, 2 * m))
+    if got is not None:
+        assert got.interval.size == 1
+        assert Y.symbol(got.interval.right) == X.symbol(wall.body.right)
+
+
+@pytest.mark.parametrize(
+    "wall, clause",
+    [
+        (WallValue(Interval(2, 5), 6, "h"), "vertical"),
+        (WallValue(Interval(2, 5), 6, "v", "compound"), "base-run"),
+        (WallValue(Interval(1, 4), 6), "not constant"),
+        (WallValue(Interval(8, 11), 6), "not inside X"),
+        (WallValue(Interval(-1, 2), 6), "not inside X"),
+        (WallValue(Interval(2, 8), 6), "outside \\[m, 2m\\)"),
+        (WallValue(Interval(2, 4), 6), "outside \\[m, 2m\\)"),
+    ],
+)
+def test_hole_wall_contract(wall, clause):
+    # X = 00 1111111 0: ]2, 9] is the one run of ones; m = rank/2 = 3.
+    X = BinarySequence.from_string("0011111110")
+    Y = BinarySequence.from_string("0101")
+    with pytest.raises(StructureError, match=clause):
+        find_fitting_hole(wall, Interval(0, 3, closed=True), X, Y)

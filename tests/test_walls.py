@@ -337,13 +337,13 @@ def test_fitting_hole_single_row():
     X = BinarySequence.from_string("00" + "1" * m + "00")
     wall = WallValue(Interval(2, 2 + m), 2 * m, "v")
     Y_hit = BinarySequence.from_string("0010")
-    hole = find_fitting_hole(wall, Interval(1, 2, closed=True), X, Y_hit, Fraction(1, 2 * m))
+    hole = find_fitting_hole(wall, Interval(1, 2, closed=True), X, Y_hit)
     assert hole is not None
     assert (hole.interval.left, hole.interval.right) == (2, 3)
     assert hole.entry == (2, 2) and hole.exit == (2 + m, 3)
     Y_miss = BinarySequence.from_string("0000")
     assert (
-        find_fitting_hole(wall, Interval(1, 2, closed=True), X, Y_miss, Fraction(1, 2 * m))
+        find_fitting_hole(wall, Interval(1, 2, closed=True), X, Y_miss)
         is None
     )
 
@@ -358,7 +358,7 @@ def test_fitting_hole_reverifies(data):
     X = BinarySequence.from_string(("01" if sym else "10") + run + "0101")
     wall = WallValue(Interval(2, 2 + m), 2 * m, "v")
     Y = BinarySequence(rng.getrandbits(12), 12)
-    hole = find_fitting_hole(wall, Interval(0, 5, closed=True), X, Y, Fraction(1, 2 * m))
+    hole = find_fitting_hole(wall, Interval(0, 5, closed=True), X, Y)
     if hole is None:
         return
     assert hole.interval.size <= 2 * m * wall.size
