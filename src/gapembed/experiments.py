@@ -8,8 +8,13 @@ worker count.  Aggregation is a commutative sum of per-trial indicators.
 A sweep decides its trials in chunks of bit lanes: trial start + 64w + k of
 a chunk is lane k of word w, and bit i of its stream (X(i + 1) for
 i < x_length, then Y) is bit k of word w in row i of the chunk's lane array
-(see `gapembed.engine.embeddable_lanes`).  `TrialPlan.trial_sequences` gives
-the same trial as a `BinarySequence` pair.
+(see `gapembed.engine.embeddable_lanes`).  A chunk's streams are drawn in
+one vectorised pass (`gapembed.rng.stream_block`) and turned into lanes by a
+64x64 bit transpose of masked swaps on whole uint64 arrays; a chunk holds
+as many trials as keep its Philox block within `_CHUNK_BYTES`.
+`TrialPlan.trial_sequences` gives the same trial as a `BinarySequence` pair.
+With `jobs > 1`, a sweep spreads every (cell, trial range) over one process
+pool.
 """
 
 from __future__ import annotations
@@ -24,18 +29,31 @@ import numpy as np
 from .engine import embeddable_lanes
 from .engine import embeddable_prefix  # looked up by name in bench/tracer.py
 from .errors import InputBoundsError, UnderpoweredError
-from .rng import RNG_ID, philox, stream_bits, stream_words
+from .rng import RNG_ID, philox, stream_bits, stream_block
 from .sequences import BinarySequence
 from .stats import wilson_interval
 from .walls import Interval, WallValue, find_fitting_hole
 
 CSV_HEADER = "m,L,trials,successes,p_hat,ci_low,ci_high,rng_id,master_seed"
 
-# A lane chunk holds up to _CHUNK_WORDS words of 64 trials; for long trials
-# it shrinks so that one (x_length + L, words) array stays within
-# _CHUNK_BYTES.
-_CHUNK_WORDS = 16
+# A lane chunk holds as many words of 64 trials as keep the Philox block it
+# draws (4 words per 256 stream bits, rounded up) within _CHUNK_BYTES; its
+# lane array is never larger.
 _CHUNK_BYTES = 1 << 20
+
+# The six stages of a 64x64 bit transpose: (j, mask of the low j bits of
+# every 2j-bit group).  Hacker's Delight, 2nd ed., section 7-3.
+_TRANSPOSE_STAGES = tuple(
+    (j, np.uint64(mask))
+    for j, mask in (
+        (32, 0x00000000FFFFFFFF),
+        (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -108,30 +126,44 @@ class EstimateRow:
         )
 
 
+def _transpose64(a: np.ndarray) -> None:
+    """Transpose the 64x64 bit matrix a[w, :, g] in place for every (w, g):
+    bit k of a[w, b, g] becomes bit b of a[w, k, g].
+
+    Stage j swaps the high j bits of every 2j-bit group of row k with the
+    low j bits of row k + j, for the rows k with bit j clear."""
+    words, _, groups = a.shape
+    for j, mask in _TRANSPOSE_STAGES:
+        pairs = a.reshape(words, 32 // j, 2, j, groups)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        swap = ((low >> j) ^ high) & mask
+        high ^= swap
+        low ^= swap << j
+
+
 def _trial_lanes(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
     """Stream bits of trials start..stop-1 in lane layout, (x_length + L, W).
 
-    Transposed 64 trials at a time: unpack a (64, words) block of streams to
-    one byte per bit, then pack along the trial axis."""
+    One `stream_block` call draws every stream; word w of trial 64g + k goes
+    to row k of the 64x64 bit matrix (w, g), whose transpose holds rows
+    64w..64w+63 of lane word g.  Pad lanes are zero."""
     nbits = plan.x_length + plan.L
     nwords = -(-nbits // 64)
-    lanes = np.zeros((nbits, -(-(stop - start) // 64)), dtype=np.uint64)
-    block = np.empty((64, nwords), dtype="<u8")
-    for w, lo in enumerate(range(start, stop, 64)):
-        hi = min(lo + 64, stop)
-        for i, t in enumerate(range(lo, hi)):
-            block[i] = stream_words(plan.master_seed, (t, plan.m, plan.L), nwords)
-        block[hi - lo :] = 0
-        bits = np.unpackbits(block.view(np.uint8), axis=1, count=nbits, bitorder="little")
-        packed = np.packbits(bits, axis=0, bitorder="little")
-        lanes[:, w] = np.ascontiguousarray(packed.T).view("<u8")[:, 0]
-    return lanes
+    groups = -(-(stop - start) // 64)
+    block = np.zeros((64 * groups, nwords), dtype=np.uint64)
+    trials = np.arange(start, stop, dtype=np.uint64)
+    block[: stop - start] = stream_block(plan.master_seed, trials, plan.m, plan.L, nwords)
+    lanes = np.ascontiguousarray(block.reshape(groups, 64, nwords).transpose(2, 1, 0))
+    _transpose64(lanes)
+    return lanes.reshape(64 * nwords, groups)[:nbits]
 
 
 def _count_successes(plan: TrialPlan, start: int, stop: int) -> int:
     """Successes among trials start..stop-1, decided one lane chunk at a time."""
-    words = min(_CHUNK_WORDS, _CHUNK_BYTES // (8 * (plan.x_length + plan.L)))
-    chunk = 64 * max(words, 1)
+    if plan.L == 0:
+        return stop - start
+    block_bytes = 64 * 32 * -(-(plan.x_length + plan.L) // 256)  # per 64 trials
+    chunk = 64 * max(_CHUNK_BYTES // block_bytes, 1)
     count = 0
     for lo in range(start, stop, chunk):
         hi = min(lo + chunk, stop)
@@ -141,24 +173,7 @@ def _count_successes(plan: TrialPlan, start: int, stop: int) -> int:
     return count
 
 
-def estimate_embed_prob(plan: TrialPlan, jobs: int = 1) -> EstimateRow:
-    """Estimate P(the length-L prefix of Y is m-embeddable into X) under the
-    plan's seed; trials may be split across processes without changing the
-    result."""
-    if plan.trials == 0:
-        raise UnderpoweredError("plan has zero trials")
-    if plan.L == 0:
-        successes = plan.trials
-    elif jobs <= 1:
-        successes = _count_successes(plan, 0, plan.trials)
-    else:
-        chunk = -(-plan.trials // jobs)
-        bounds = [
-            (plan, i, min(i + chunk, plan.trials))
-            for i in range(0, plan.trials, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            successes = sum(pool.map(_count_successes, *zip(*bounds)))
+def _estimate_row(plan: TrialPlan, successes: int) -> EstimateRow:
     lo, hi = wilson_interval(successes, plan.trials)
     return EstimateRow(
         m=plan.m,
@@ -173,6 +188,37 @@ def estimate_embed_prob(plan: TrialPlan, jobs: int = 1) -> EstimateRow:
     )
 
 
+def _pooled_estimates(plans: Sequence[TrialPlan], jobs: int) -> list[EstimateRow]:
+    """One row per plan, every plan's trials split in `jobs` ranges and all
+    (plan, range) pieces spread over one process pool."""
+    for plan in plans:
+        if plan.trials == 0:
+            raise UnderpoweredError("plan has zero trials")
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = []
+        for plan in plans:
+            size = -(-plan.trials // jobs)
+            futures.append([
+                pool.submit(_count_successes, plan, lo, min(lo + size, plan.trials))
+                for lo in range(0, plan.trials, size)
+            ])
+        return [
+            _estimate_row(plan, sum(f.result() for f in pieces))
+            for plan, pieces in zip(plans, futures)
+        ]
+
+
+def estimate_embed_prob(plan: TrialPlan, jobs: int = 1) -> EstimateRow:
+    """Estimate P(the length-L prefix of Y is m-embeddable into X) under the
+    plan's seed; trials may be split across processes without changing the
+    result."""
+    if jobs > 1:
+        return _pooled_estimates([plan], jobs)[0]
+    if plan.trials == 0:
+        raise UnderpoweredError("plan has zero trials")
+    return _estimate_row(plan, _count_successes(plan, 0, plan.trials))
+
+
 def sweep(
     m_values: Iterable[int],
     L_values: Iterable[int],
@@ -182,13 +228,12 @@ def sweep(
     jobs: int = 1,
 ) -> list[EstimateRow]:
     """One EstimateRow per (m, L) cell; cells use disjoint random streams, so
-    the table does not depend on iteration order."""
-    rows = []
-    for m in m_values:
-        for L in L_values:
-            plan = TrialPlan(master_seed, trials, m, L, x_length)
-            rows.append(estimate_embed_prob(plan, jobs=jobs))
-    return rows
+    the table does not depend on iteration order.  With `jobs > 1` the whole
+    sweep shares one process pool."""
+    plans = [TrialPlan(master_seed, trials, m, L, x_length) for m in m_values for L in L_values]
+    if jobs > 1:
+        return _pooled_estimates(plans, jobs)
+    return [estimate_embed_prob(plan) for plan in plans]
 
 
 def rows_to_csv(rows: Sequence[EstimateRow], version: str = "") -> str:

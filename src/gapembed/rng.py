@@ -7,11 +7,19 @@ Identical inputs give identical bits on every platform and under any
 parallel schedule.
 
 A stream's bytes are those of `Generator(philox(seed, coords)).bytes(n)`.
-They are read as 64-bit words (`stream_words`) from one module-level Philox
-that is repositioned for each stream, at about a quarter of the cost of
-building a new generator; `stream_bytes` and `stream_bits` are views of
-those words.  Bit i of a stream is bit i % 64 of word i // 64; in a sweep's
-lane layout it becomes row i of the trial's lane (see `gapembed.experiments`).
+numpy increments the counter before each 4-word block, so word 4b + r of a
+stream is word r of Philox4x64-10 applied to the counter (b + 1, c1, c2, c3).
+
+`stream_words` is the reference: it reads the words from one module-level
+Philox that is repositioned for each stream, and serves single draws;
+`stream_bytes` and `stream_bits` are views of it.  `stream_block` computes
+the same words for a whole vector of first coordinates at once: the ten
+Philox rounds run in numpy over an array of counters (b + 1, t, c2, c3), one
+per block b of each stream t, with each 64x64-bit product taken from four
+32x32-bit products (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11).  Bit i of a stream is bit i % 64 of word i // 64; in a
+sweep's lane layout it becomes row i of the trial's lane (see
+`gapembed.experiments`).
 """
 
 from __future__ import annotations
@@ -21,6 +29,13 @@ import numpy as np
 RNG_ID = "numpy-philox4x64-10"
 
 _MASK64 = (1 << 64) - 1
+
+# Philox4x64 round multipliers and Weyl key increments (Random123).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 # One generator serves every stream: under its lock, the counter and key of
 # a state template with an empty buffer are filled in and the state is set.
@@ -77,3 +92,49 @@ def stream_bits(seed: int, coords: tuple[int, int, int], nbits: int) -> int:
         return 0
     raw = stream_bytes(seed, coords, (nbits + 7) // 8)
     return int.from_bytes(raw, "little") & ((1 << nbits) - 1)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of a * b for a 64-bit constant a.
+
+    The high word is summed from four 32x32-bit products, none of which
+    wraps; `mid` carries the middle 32-bit column into it.  The low word is
+    numpy's wrapping product (array arithmetic does not warn)."""
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    mid = a_hi * b_lo + ((a_lo * b_lo) >> _SHIFT32)
+    high = a_hi * b_hi + (mid >> _SHIFT32)
+    mid &= _LOW32
+    mid += a_lo * b_hi
+    high += mid >> _SHIFT32
+    return high, b * np.uint64(a)
+
+
+def stream_block(seed: int, ts, c2: int, c3: int, nwords: int) -> np.ndarray:
+    """The first `nwords` words of the streams (t, c2, c3) for every t in
+    `ts`, as a (len(ts), nwords) uint64 array whose row i equals
+    `stream_words(seed, (ts[i], c2, c3), nwords)`.
+
+    `ts` is a sequence of ints or an integer array, taken mod 2^64.  The
+    key schedule stays in Python ints, so no numpy scalar wraps."""
+    if isinstance(ts, np.ndarray):
+        ts = ts.astype(np.uint64)
+    else:
+        ts = np.array([t & _MASK64 for t in ts], dtype=np.uint64)
+    blocks = -(-nwords // 4)
+    # Counter words as broadcastable arrays: (block, trial, c2, c3); they
+    # reach the full (trials, blocks) shape after the first rounds.
+    x0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    x1 = ts[:, None]
+    x2 = np.full((1, 1), c2 & _MASK64, dtype=np.uint64)
+    x3 = np.full((1, 1), c3 & _MASK64, dtype=np.uint64)
+    k0, k1 = seed & _MASK64, 0
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 = (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
+    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)
+    return words.reshape(len(ts), 4 * blocks)[:, :nwords]

@@ -14,6 +14,7 @@ from gapembed import (
     wall_frequency_check,
 )
 from gapembed.errors import InputBoundsError, UnderpoweredError
+from gapembed import experiments
 from gapembed.experiments import CSV_HEADER, rows_to_csv
 from gapembed.rng import RNG_ID, stream_bits
 from gapembed.stats import wilson_interval
@@ -69,6 +70,22 @@ def test_estimate_deterministic_and_m1_rate():
 def test_parallel_equals_serial():
     plan = TrialPlan(master_seed=9, trials=120, m=2, L=10)
     assert estimate_embed_prob(plan, jobs=1) == estimate_embed_prob(plan, jobs=2)
+
+
+def test_sweep_builds_one_pool(monkeypatch):
+    built = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers", args[0] if args else None))
+            super().__init__(*args, **kwargs)
+
+    serial = sweep([1, 2, 3], [0, 8, 16], trials=70, master_seed=5)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    assert sweep([1, 2, 3], [0, 8, 16], trials=70, master_seed=5, jobs=2) == serial
+    assert built == [2]
+    assert sweep([1, 2, 3], [0, 8, 16], trials=70, master_seed=5, jobs=1) == serial
+    assert built == [2]
 
 
 def test_sweep_rows_and_csv():

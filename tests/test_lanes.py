@@ -5,11 +5,13 @@ Every lane must decide exactly what `embeddable_prefix` decides for its
 pair; the sweep built on it must count what the per-trial loop counted.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from gapembed import BinarySequence, TrialPlan, brute_force_reachable, embeddable_prefix
-from gapembed import experiments
+from gapembed import experiments, rng
 from gapembed.engine import embeddable_lanes
 from gapembed.experiments import _count_successes, _trial_lanes, sweep
 
@@ -89,6 +91,60 @@ def test_trial_lanes_hold_the_trial_sequences(trials, x_length, L):
         lane = [int(lanes[i, t // 64]) >> (t % 64) & 1 for i in range(len(lanes))]
         want = [(X.bits >> i) & 1 for i in range(len(X))] + [(Y.bits >> j) & 1 for j in range(L)]
         assert lane == want
+
+
+def unpack_pack_lanes(plan, start, stop):
+    """The lane array built one trial stream at a time, then transposed 64
+    trials at a time by unpacking to one byte per bit and packing along the
+    trial axis."""
+    nbits = plan.x_length + plan.L
+    nwords = -(-nbits // 64)
+    lanes = np.zeros((nbits, -(-(stop - start) // 64)), dtype=np.uint64)
+    block = np.empty((64, nwords), dtype="<u8")
+    for w, lo in enumerate(range(start, stop, 64)):
+        hi = min(lo + 64, stop)
+        for i, t in enumerate(range(lo, hi)):
+            block[i] = rng.stream_words(plan.master_seed, (t, plan.m, plan.L), nwords)
+        block[hi - lo :] = 0
+        bits = np.unpackbits(block.view(np.uint8), axis=1, count=nbits, bitorder="little")
+        packed = np.packbits(bits, axis=0, bitorder="little")
+        lanes[:, w] = np.ascontiguousarray(packed.T).view("<u8")[:, 0]
+    return lanes
+
+
+@pytest.mark.parametrize("nwords", range(1, 21))
+def test_trial_lanes_equal_unpack_pack(nwords):
+    # Bit counts that end mid-word and at a word's end, trial ranges that end
+    # mid-word and start off zero; pad lanes must be zero on both sides.
+    for nbits, trials, start in [(64 * nwords - 13, 97, 0), (64 * nwords, 64, 5), (64 * nwords - 1, 1, 3)]:
+        L = max(nbits // 4, 1)
+        plan = TrialPlan(master_seed=nwords - 3, trials=trials, m=2, L=L, x_length=nbits - L)
+        got = _trial_lanes(plan, start, start + trials)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, unpack_pack_lanes(plan, start, start + trials))
+        if trials % 64:
+            assert not (got[:, -1] >> np.uint64(trials % 64)).any()
+
+
+def test_count_successes_draws_no_single_streams(monkeypatch):
+    plan = TrialPlan(master_seed=2**64 - 1, trials=300, m=3, L=24)
+    want = per_trial_successes(plan, 0, plan.trials)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep chunk must draw its streams in one block")
+
+    monkeypatch.setattr(experiments, "stream_words", forbidden, raising=False)
+    monkeypatch.setattr(rng, "stream_words", forbidden)
+    monkeypatch.setattr(rng, "_shared_philox", forbidden)
+    assert _count_successes(plan, 0, plan.trials) == want
+
+
+def test_lanes_raise_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (-1, -7, 2**63, 2**64 - 1):
+            plan = TrialPlan(master_seed=seed, trials=130, m=2, L=40)
+            _count_successes(plan, 0, plan.trials)
 
 
 def per_trial_successes(plan, start, stop):

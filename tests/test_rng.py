@@ -1,5 +1,6 @@
 """Philox streams: exact keys for every seed, bytes unchanged for the seeds
-that were already exact, and one shared generator that threads can use."""
+that were already exact, one shared generator that threads can use, and a
+vectorised block whose rows equal the shared generator's streams."""
 
 import sys
 import threading
@@ -7,9 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapembed import experiments, wall_frequency_check
-from gapembed.rng import stream_bits, stream_bytes, stream_words
+from gapembed.rng import stream_bits, stream_block, stream_bytes, stream_words
 
 COORDS = [(0, 0, 0), (1, 2, 16), (999, 8, 128), (2**63 - 1, 7, 5)]
 
@@ -87,3 +90,61 @@ def test_threads_share_the_generator():
     finally:
         sys.setswitchinterval(interval)
     assert bad == []
+
+
+BLOCK_SEEDS = [0, 3, 2**63 - 1, 2**63, 2**64 - 1, -1, -7]
+BLOCK_TS = [0, 1, 2, 63, 64, 199, 2**32 + 1, 2**63 - 1, 2**63, 2**63 + 7, 2**64 - 1]
+BLOCK_CELLS = [(2, 16), (8, 128), (2**63, 5), (3, 2**63 + 7), (2**64 - 1, 2**64 - 1)]
+
+
+def assert_rows_are_streams(seed, ts, c2, c3, nwords):
+    block = stream_block(seed, ts, c2, c3, nwords)
+    assert block.dtype == np.uint64 and block.shape == (len(ts), nwords)
+    for row, t in zip(block, ts):
+        want = stream_words(seed, (int(t), c2, c3), nwords)
+        assert np.array_equal(row, want), (seed, int(t), c2, c3, nwords)
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_block_rows_equal_stream_words(seed):
+    # nwords 1..9 covers one to three Philox blocks, whole and cut short.
+    for c2, c3 in BLOCK_CELLS:
+        for nwords in range(1, 10):
+            assert_rows_are_streams(seed, BLOCK_TS, c2, c3, nwords)
+
+
+def test_block_takes_arrays_and_wraps_every_coordinate():
+    ts = [0, 5, 2**63, 2**64 - 1]
+    want = stream_block(9, ts, 2, 16, 6)
+    assert np.array_equal(stream_block(9, np.array(ts, dtype=np.uint64), 2, 16, 6), want)
+    assert np.array_equal(stream_block(9, np.array([0, 5, -(2**63), -1]), 2, 16, 6), want)
+    assert np.array_equal(stream_block(9 + 2**64, [t - 2**64 for t in ts], 2, 16, 6), want)
+    assert np.array_equal(stream_block(9, ts, 2 - 2**64, 16 + 2**64, 6), want)
+
+
+def test_block_of_no_streams_or_no_words():
+    assert stream_block(3, [], 2, 16, 5).shape == (0, 5)
+    assert stream_block(3, np.arange(0, dtype=np.uint64), 2, 16, 5).shape == (0, 5)
+    assert stream_block(3, [1, 2], 2, 16, 0).shape == (2, 0)
+
+
+words64 = st.integers(-(2**64), 2**65)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=words64,
+    ts=st.lists(words64, max_size=12),
+    c2=words64,
+    c3=words64,
+    nwords=st.integers(0, 13),
+)
+def test_block_equals_stream_words_property(seed, ts, c2, c3, nwords):
+    assert_rows_are_streams(seed, ts, c2, c3, nwords)
+
+
+def test_block_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (-1, 2**63, 2**64 - 1, 2**80 + 3):
+            stream_block(seed, [0, 2**64 - 1], 2**64 - 1, 2**63, 9)
