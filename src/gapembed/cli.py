@@ -300,23 +300,22 @@ def cmd_params(args) -> int:
 
 def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.check == "walls":
-        report = wall_frequency_check(args.m_check, args.l, args.samples, seed)
-        print(json.dumps({"meta": _meta(seed), **report.to_json()}))
-        return 0
-    if args.check == "holes":
-        report = hole_frequency_check(args.m_check, args.samples, seed)
-        print(json.dumps({"meta": _meta(seed), **report.to_json()}))
-        return 0
-    m_values = _parse_range(args.m_range)
-    L_values = _parse_range(args.L_range)
-    rows = sweep(m_values, L_values, args.trials, seed, args.x_length, jobs=args.jobs)
-    if args.format == "json":
-        lines = [json.dumps({"meta": _meta(seed)})]
-        lines += [json.dumps(row.to_json()) for row in rows]
-        text = "\n".join(lines) + "\n"
+    if args.check is not None:
+        if args.check == "walls":
+            report = wall_frequency_check(args.m_check, args.l, args.samples, seed)
+        else:
+            report = hole_frequency_check(args.m_check, args.samples, seed)
+        text = json.dumps({"meta": _meta(seed), **report.to_json()}) + "\n"
     else:
-        text = rows_to_csv(rows, version=__version__)
+        m_values = _parse_range(args.m_range)
+        L_values = _parse_range(args.L_range)
+        rows = sweep(m_values, L_values, args.trials, seed, args.x_length, jobs=args.jobs)
+        if args.format == "json":
+            lines = [json.dumps({"meta": _meta(seed)})]
+            lines += [json.dumps(row.to_json()) for row in rows]
+            text = "\n".join(lines) + "\n"
+        else:
+            text = rows_to_csv(rows, version=__version__)
     out, close_out = _open_out(args.out)
     try:
         out.write(text)

@@ -125,17 +125,19 @@ def _frontier_masks(
 
     Rows j = 1..L read symbol Y(y_offset + j); positions are clipped to
     [x_lo, x_hi] (and never exceed len(X): reachability past the end of X is
-    treated as false, not as an error).
+    treated as false, not as an error).  A gap longer than len(X) lands past
+    the clip, so the smear stops at len(X) whatever m is.
     """
     if x_hi is None:
         x_hi = len(X)
     x_hi = min(x_hi, len(X))
     clip = _range_mask(max(x_lo, 0), x_hi)
+    step = min(m, len(X))
     masks = [1 << start]
     mask = masks[0]
     for j in range(1, L + 1):
         if mask:
-            mask = _window_or(mask, m) & X.match_mask(Y.symbol(y_offset + j)) & clip
+            mask = _window_or(mask, step) & X.match_mask(Y.symbol(y_offset + j)) & clip
         masks.append(mask)
     return masks
 

@@ -13,8 +13,8 @@ one vectorised pass (`gapembed.rng.stream_block`) and turned into lanes by a
 64x64 bit transpose of masked swaps on whole uint64 arrays; a chunk holds
 as many trials as keep its Philox block within `_CHUNK_BYTES`.
 `TrialPlan.trial_sequences` gives the same trial as a `BinarySequence` pair.
-With `jobs > 1`, a sweep spreads every (cell, trial range) over one process
-pool.
+`sweep` is the one entry to a process pool: with `jobs > 1` it spreads every
+(cell, trial range) over one pool.
 """
 
 from __future__ import annotations
@@ -208,12 +208,9 @@ def _pooled_estimates(plans: Sequence[TrialPlan], jobs: int) -> list[EstimateRow
         ]
 
 
-def estimate_embed_prob(plan: TrialPlan, jobs: int = 1) -> EstimateRow:
+def estimate_embed_prob(plan: TrialPlan) -> EstimateRow:
     """Estimate P(the length-L prefix of Y is m-embeddable into X) under the
-    plan's seed; trials may be split across processes without changing the
-    result."""
-    if jobs > 1:
-        return _pooled_estimates([plan], jobs)[0]
+    plan's seed, in this process; `sweep` spreads plans over processes."""
     if plan.trials == 0:
         raise UnderpoweredError("plan has zero trials")
     return _estimate_row(plan, _count_successes(plan, 0, plan.trials))
@@ -352,10 +349,11 @@ class HoleFrequencyReport:
 
 
 def hole_frequency_check(m: int, samples: int, seed: int = 0) -> HoleFrequencyReport:
-    """Fix a vertical wall (a constant run of length m); per sample draw a
+    """Fix a vertical wall (a constant run of length m); per sample take a
     fresh Y and ask the hole finder whether a fitting hole starts at a fixed
     offset.  One starts there iff Y(offset + 1) equals the wall's symbol, the
-    one symbol the finder reads, so the rate is 1/2."""
+    one symbol the finder reads, so the rate is 1/2.  Sample t's Y is the
+    stream (t, m, 0x410); one `stream_block` call draws every sample's."""
     if samples < 1:
         raise UnderpoweredError("need at least one sample")
     if m < 2:
@@ -366,9 +364,10 @@ def hole_frequency_check(m: int, samples: int, seed: int = 0) -> HoleFrequencyRe
     wall = WallValue(Interval(i0, i0 + m), 2 * m, "v")
     offset = 2
     y_len = offset + 1
+    words = stream_block(seed, np.arange(samples, dtype=np.uint64), m, 0x410, 1)
     occurrences = 0
-    for t in range(samples):
-        Y = BinarySequence(stream_bits(seed, (t, m, 0x410), y_len), y_len)
+    for word in words[:, 0].tolist():
+        Y = BinarySequence(word & ((1 << y_len) - 1), y_len)
         hole = find_fitting_hole(wall, Interval(offset, offset, closed=True), X, Y)
         occurrences += hole is not None
     rate = occurrences / samples

@@ -12,14 +12,15 @@ bounds additively:
     sigma' = sigma + Lambda * slb^-3 * Delta/Gamma
     q'     = q + Delta' / T
 
-The constants Lambda, c2, c3 and the base rank R1 are configuration knobs
-with documented defaults; no numeric value for them is canonical.
+Lambda and the wall and hole constants c2 and c3 have no canonical value:
+Lambda is fixed at 10 (`LAMBDA`), and `rank_prob` and `hole_prob` take c2
+and c3 as arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -31,6 +32,8 @@ RationalLike = Union[int, str, Fraction, float]
 LAM_LOG2 = Fraction(1, 2)
 #: polynomial degree in the wall probability bound p(r) = c2 * r^-C1 * lam^-r
 C1 = 2
+#: Lambda in the slope step sigma' = sigma + Lambda * slb^-3 * Delta/Gamma
+LAMBDA = Fraction(10)
 
 # Exact-comparison guard: beyond this many bits, fall back to float logs
 # (the margin at that magnitude dwarfs float error).
@@ -281,10 +284,6 @@ class LevelParams:
     q_tri: float
     q_inv: float
     w_log: Optional[Fraction]
-    Lambda_: Fraction = Fraction(10)
-    c2: Fraction = Fraction(1, 4)
-    c3: Fraction = Fraction(4)
-    R1: Fraction = field(default=Fraction(0))
 
     # Exact base-lam logarithms of the derived scales.
     @property
@@ -349,21 +348,14 @@ class LevelParams:
         return bad
 
 
-def base_params(
-    m: int,
-    exponents: ExponentTuple = DEFAULT_EXPONENTS,
-    Lambda_: RationalLike = 10,
-    c2: RationalLike = Fraction(1, 4),
-    c3: RationalLike = 4,
-) -> LevelParams:
+def base_params(m: int, exponents: ExponentTuple = DEFAULT_EXPONENTS) -> LevelParams:
     """Level-1 parameters for gap bound m: slb = sigma_x = 1/2m, sigma_y = m,
     R1 = 2m, q_tri = 0, q_inv = 0.5, w = 0."""
     if m < 2:
         raise InputBoundsError("base level needs m >= 2 (sigma_y >= 2)")
-    R1 = Fraction(2 * m)
     return LevelParams(
         level=1,
-        R=R1,
+        R=Fraction(2 * m),
         exponents=exponents,
         slb=Fraction(1, 2 * m),
         sigma_x=1.0 / (2 * m),
@@ -371,10 +363,6 @@ def base_params(
         q_tri=0.0,
         q_inv=0.5,
         w_log=None,
-        Lambda_=_frac(Lambda_),
-        c2=_frac(c2),
-        c3=_frac(c3),
-        R1=R1,
     )
 
 
@@ -382,7 +370,7 @@ def _step(params: LevelParams) -> LevelParams:
     e = params.exponents
     R_next = params.R * e.tau
     # sigma' = sigma + Lambda * slb^-3 * Delta/Gamma, same additive term both axes.
-    bump = float(params.Lambda_ / params.slb**3) * lam_pow(
+    bump = float(LAMBDA / params.slb**3) * lam_pow(
         (e.delta - e.gamma) * params.R
     )
     # q' = q + Delta'/T = q + lam^(R*(delta*tau - 1))
@@ -413,28 +401,21 @@ class LevelFacts:
 def level_params(
     exponents: ExponentTuple, base: LevelParams, k: int
 ) -> LevelParams:
-    """Parameter vector at level k, iterating the stepping rule from `base`.
+    """Parameter vector at level k: the last row of `level_table`.
 
     k = 1 returns the base unchanged.  Raises when the exponent tuple fails
     feasibility.
     """
     if k < 1:
         raise InputBoundsError("level must be >= 1")
-    report = verify_exponents(exponents)
-    if not report.passed:
-        raise InputBoundsError(
-            "exponent tuple infeasible: " + ", ".join(report.violations)
-        )
-    params = replace(base, exponents=exponents)
-    for _ in range(k - 1):
-        params = _step(params)
-    return params
+    return level_table(exponents, base, k)[-1][0]
 
 
 def level_table(
     exponents: ExponentTuple, base: LevelParams, k_max: int
 ) -> list[tuple[LevelParams, LevelFacts]]:
-    """Levels 1..k_max with their stepping facts.
+    """k_max levels with their stepping facts: `base`, then one step per
+    row (levels 1..k_max from a level-1 base).
 
     delta_ratio compares Delta_k / Delta_{k+1} = lam^(delta*R_k*(1 - tau))
     against slb^2/2 exactly in exponent space.
@@ -456,7 +437,7 @@ def level_table(
             slope_violations=tuple(params.slope_sanity()),
         )
         rows.append((params, facts))
-        if params.level < k_max:
+        if len(rows) < k_max:
             params = _step(params)
     return rows
 

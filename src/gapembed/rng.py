@@ -10,16 +10,18 @@ A stream's bytes are those of `Generator(philox(seed, coords)).bytes(n)`.
 numpy increments the counter before each 4-word block, so word 4b + r of a
 stream is word r of Philox4x64-10 applied to the counter (b + 1, c1, c2, c3).
 
-`stream_words` is the reference: it reads the words from one module-level
-Philox that is repositioned for each stream, and serves single draws;
-`stream_bytes` and `stream_bits` are views of it.  `stream_block` computes
-the same words for a whole vector of first coordinates at once: the ten
-Philox rounds run in numpy over an array of counters (b + 1, t, c2, c3), one
-per block b of each stream t, with each 64x64-bit product taken from four
-32x32-bit products (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC'11).  Bit i of a stream is bit i % 64 of word i // 64; in a
-sweep's lane layout it becomes row i of the trial's lane (see
-`gapembed.experiments`).
+`stream_words` is the reference: it draws from a fresh numpy Philox at the
+stream's counter and serves single draws; `stream_bytes` and `stream_bits`
+are views of it.  `stream_block` computes the same words for a whole vector
+of first coordinates at once: the ten Philox rounds run in numpy over an
+array of counters (b + 1, t, c2, c3), one per block b of each stream t, with
+each 64x64-bit product taken from four 32x32-bit products (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11).  The module keeps no
+shared state, so threads and processes may draw at will.  Only a single
+draw imports numpy.random (about 6 MB of resident memory); `stream_block`
+does not need it.  Bit i of a stream
+is bit i % 64 of word i // 64; in a sweep's lane layout it becomes row i of
+the trial's lane (see `gapembed.experiments`).
 """
 
 from __future__ import annotations
@@ -36,20 +38,6 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-
-# One generator serves every stream: under its lock, the counter and key of
-# a state template with an empty buffer are filled in and the state is set.
-# It is made at the first draw, because importing numpy.random costs about
-# 6 MB of resident memory that commands drawing nothing need not pay.
-_shared = None
-
-
-def _shared_philox() -> tuple[np.random.Philox, dict]:
-    global _shared
-    if _shared is None:
-        bitgen = np.random.Philox(key=0)
-        _shared = (bitgen, bitgen.state)
-    return _shared
 
 
 def philox(seed: int, coords: tuple[int, int, int]) -> np.random.Philox:
@@ -68,16 +56,7 @@ def philox(seed: int, coords: tuple[int, int, int]) -> np.random.Philox:
 def stream_words(seed: int, coords: tuple[int, int, int], nwords: int) -> np.ndarray:
     """The first `nwords` 64-bit words of one stream; coords index disjoint
     streams.  Byte k of the little-endian words is byte k of the stream."""
-    c1, c2, c3 = coords
-    bitgen, state = _shared_philox()
-    counter, key = state["state"]["counter"], state["state"]["key"]
-    with bitgen.lock:
-        counter[1] = c1 & _MASK64
-        counter[2] = c2 & _MASK64
-        counter[3] = c3 & _MASK64
-        key[0] = seed & _MASK64
-        bitgen.state = state
-        return bitgen.random_raw(nwords)
+    return philox(seed, coords).random_raw(nwords)
 
 
 def stream_bytes(seed: int, coords: tuple[int, int, int], nbytes: int) -> bytes:

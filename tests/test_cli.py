@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapembed
 from gapembed import engine
 from gapembed.cli import main
 from gapembed.experiments import CSV_HEADER
@@ -74,6 +77,41 @@ def test_embed_witness_runs_one_dp(tmp_path, capsys, monkeypatch, fmt):
         assert doc["path"] == {"m": 2, "steps": [1, 2, 3, 4, 5]}
     else:
         assert out == plain + "steps 1 2 3 4 5\n"
+
+
+HUGE_M = "99999999999999999999"
+
+
+@pytest.mark.parametrize("witness", [False, True])
+def test_embed_smear_never_exceeds_len_x(tmp_path, capsys, monkeypatch, witness):
+    # Gaps longer than X land past its end, so a row's smear stops at len(X);
+    # the spy refuses a longer smear before it allocates.
+    x = write_seq(tmp_path, "x.txt", "0110")
+    y = write_seq(tmp_path, "y.txt", "0110")
+    steps = []
+    window_or = engine._window_or
+
+    def spy(mask, step):
+        steps.append(step)
+        if step > 4:
+            raise AssertionError(f"smear of {step} positions on a 4-symbol X")
+        return window_or(mask, step)
+
+    monkeypatch.setattr(engine, "_window_or", spy)
+    argv = ["embed", "--x", x, "--y", y, "--m", HUGE_M] + ["--witness"] * witness
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "embeddable\n" in out
+    assert steps and max(steps) <= 4
+
+
+def test_embed_huge_m_equals_m_len_x(tmp_path, capsys):
+    x = write_seq(tmp_path, "x.txt", "0110100111010")
+    for y_text in ("01101", "1111", "000000000000"):
+        y = write_seq(tmp_path, "y.txt", y_text)
+        for extra in ([], ["--witness"]):
+            argv = ["embed", "--x", x, "--y", y, *extra, "--m"]
+            want = run_cli(capsys, *argv, "13")
+            assert run_cli(capsys, *argv, HUGE_M) == want, (y_text, extra)
 
 
 def test_embed_malformed_file(tmp_path, capsys):
@@ -234,6 +272,32 @@ def test_params_deep_levels_print_inf(capsys, m):
     assert R == sorted(R) and R[-1] == math.inf and R[0] < math.inf
 
 
+def test_params_golden_corpus(tmp_path, capsys):
+    # sha256 of `params` stdout, recorded before the unused LevelParams and
+    # base_params knobs were cut: m 2/4/10/40, --levels 1/3/12/1300; plus
+    # the --out and --report file bytes of one case.
+    golden = json.loads((DATA / "golden_params.json").read_text(encoding="utf-8"))
+    for case in golden["cases"]:
+        code, out, _ = run_cli(
+            capsys, "params", "--m", str(case["m"]), "--levels", str(case["levels"])
+        )
+        assert code == case["exit"]
+        assert out.count("\n") == case["lines"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], case
+    assert {(c["m"], c["levels"]) for c in golden["cases"]} == {
+        (m, k) for m in (2, 4, 10, 40) for k in (1, 3, 12, 1300)
+    }
+    files = golden["files"]
+    out_csv, out_json = tmp_path / "p.csv", tmp_path / "c.json"
+    code, out, _ = run_cli(
+        capsys, "params", "--m", str(files["m"]), "--levels", str(files["levels"]),
+        "--out", str(out_csv), "--report", str(out_json),
+    )
+    assert code == files["exit"] and out == files["stdout"]
+    assert out_csv.read_text(encoding="utf-8") == files["out"]
+    assert out_json.read_text(encoding="utf-8") == files["report"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -302,6 +366,20 @@ def test_simulate_check_walls_size_one(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["rate"] == doc["p_counted"] == 1.0 and doc["z_counted"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "check", [["--check", "walls", "--l", "5"], ["--check", "holes"], []]
+)
+def test_simulate_out_takes_every_report(tmp_path, capsys, check):
+    argv = ["simulate", "--m-check", "3", "--samples", "300", "--seed", "4",
+            "--m-range", "1..2", "--trials", "30", *check]
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0 and want
+    out_file = tmp_path / "report.txt"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0 and out == ""
+    assert out_file.read_bytes() == want.encode()
 
 
 def _golden_simulate_argv(case, jobs):
@@ -439,6 +517,44 @@ def test_hole_paths_run_no_dp(tmp_path, capsys, monkeypatch):
     assert 0 < json.loads(out)["occurrences"] < 500
 
 
+# ------------------------------------------------------------- numpy.random
+
+# Importing numpy.random costs about 6 MB of resident memory.  Commands that
+# draw no single stream through a numpy Generator must not pay it.
+_PROBE = (
+    "import sys\n"
+    "from gapembed.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, 'numpy.random' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["embed", "--x", "{x}", "--y", "{y}", "--m", "4", "--witness"], False),
+        (["analyze", "--x", "{x}", "--y", "{y}", "--m", "3", "--holes", "--span"], False),
+        (["simulate", "--m-range", "1..3", "--L-range", "8..8", "--trials", "100"], False),
+        # The wall check samples through a numpy Generator: the probe sees it.
+        (["simulate", "--check", "walls", "--samples", "10"], True),
+    ],
+    ids=["embed", "analyze", "simulate", "check-walls"],
+)
+def test_numpy_random_stays_unloaded(tmp_path, argv, loads):
+    files = {
+        "x": write_seq(tmp_path, "x.txt", "0111000110100001111001011100"),
+        "y": write_seq(tmp_path, "y.txt", "0010111010"),
+    }
+    src = str(Path(gapembed.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *(a.format(**files) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads}"
+
+
 # ------------------------------------------------------------- exit-code fuzz
 
 
@@ -449,6 +565,7 @@ def test_simulate_negative_x_length_exits_two(capsys):
 
 
 _SMALL = ["-3", "-1", "0", "1", "2", "3", "4", "6", "", "x", "1.5", "1e3"]
+_GAP = _SMALL + [HUGE_M]  # gap bounds far past len(X) cost no more than len(X)
 _RANGE = ["1", "1..3", "2..2", "1..2", "0..2", "-1..1", "3..1", "a..b", ""]
 _SEQ_BYTES = st.one_of(
     st.text("01", max_size=30).map(str.encode),
@@ -461,9 +578,9 @@ _EXPONENTS = st.sampled_from([
 ])
 # Value lists per flag of each subcommand: None marks a file, () a switch.
 _FLAGS = {
-    "embed": {"--x": None, "--y": None, "--m": _SMALL, "--L": ["-2", "0", "3", "12", "x"],
+    "embed": {"--x": None, "--y": None, "--m": _GAP, "--L": ["-2", "0", "3", "12", "x"],
               "--witness": (), "--format": ["json", "text", "xml"], "--config": None},
-    "analyze": {"--x": None, "--y": None, "--m": _SMALL, "--holes": (), "--span": (),
+    "analyze": {"--x": None, "--y": None, "--m": _GAP, "--holes": (), "--span": (),
                 "--delta": ["0", "2.5", "-1", "nan", "inf", "x"], "--config": None},
     "params": {"--m": ["-2", "0", "1", "4", "12", "x"], "--levels": _SMALL,
                "--exponents": None, "--config": None},

@@ -68,8 +68,9 @@ def test_estimate_deterministic_and_m1_rate():
 
 
 def test_parallel_equals_serial():
-    plan = TrialPlan(master_seed=9, trials=120, m=2, L=10)
-    assert estimate_embed_prob(plan, jobs=1) == estimate_embed_prob(plan, jobs=2)
+    assert sweep([2], [10], trials=120, master_seed=9, jobs=2) == sweep(
+        [2], [10], trials=120, master_seed=9
+    )
 
 
 def test_sweep_builds_one_pool(monkeypatch):

@@ -135,7 +135,7 @@ def test_count_successes_draws_no_single_streams(monkeypatch):
 
     monkeypatch.setattr(experiments, "stream_words", forbidden, raising=False)
     monkeypatch.setattr(rng, "stream_words", forbidden)
-    monkeypatch.setattr(rng, "_shared_philox", forbidden)
+    monkeypatch.setattr(rng, "philox", forbidden)
     assert _count_successes(plan, 0, plan.trials) == want
 
 

@@ -1,6 +1,6 @@
 """Philox streams: exact keys for every seed, bytes unchanged for the seeds
-that were already exact, one shared generator that threads can use, and a
-vectorised block whose rows equal the shared generator's streams."""
+that were already exact, draws that threads can make at once, and a
+vectorised block whose rows equal the single streams."""
 
 import sys
 import threading
