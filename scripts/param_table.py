@@ -8,10 +8,17 @@ stay meaningful at every level even where floats overflow or underflow.
 """
 
 import argparse
+import math
 import sys
 
 from gapembed import DEFAULT_EXPONENTS, base_params, level_table
+from gapembed.errors import GapembedError
 from gapembed.params import feasibility_horizon
+
+
+def _float(x) -> float:
+    """x as a float, inf past the float range (as `gapembed params` prints R)."""
+    return float(x) if x <= sys.float_info.max else math.inf
 
 
 def main() -> int:
@@ -20,7 +27,11 @@ def main() -> int:
     ap.add_argument("--levels", type=int, default=8)
     args = ap.parse_args()
 
-    rows = level_table(DEFAULT_EXPONENTS, base_params(args.m), args.levels)
+    try:
+        rows = level_table(DEFAULT_EXPONENTS, base_params(args.m), args.levels)
+    except GapembedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("level  R            log_Delta    sigma_x        q_tri     q_inv     facts")
     for p, facts in rows:
         notes = []
@@ -32,7 +43,7 @@ def main() -> int:
             notes.append("q-inv")
         notes.extend(facts.slope_violations)
         print(
-            f"{p.level:<6d} {float(p.R):<12.4f} {float(p.log_Delta):<12.4f} "
+            f"{p.level:<6d} {_float(p.R):<12.4f} {_float(p.log_Delta):<12.4f} "
             f"{p.sigma_x:<14.6g} {p.q_tri:<9.4f} {p.q_inv:<9.4f} "
             f"{'ok' if not notes else ';'.join(notes)}"
         )

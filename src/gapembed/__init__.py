@@ -15,7 +15,6 @@ from .engine import (
     compose_embeddings,
     embeddable_prefix,
     extract_embedding,
-    frontier_step,
     rect_reachable,
 )
 from .experiments import (

@@ -15,6 +15,7 @@ so explicit flags win, and an unknown key exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -79,6 +80,8 @@ def _parse_range(text: str) -> list[int]:
             a, b = int(lo), int(hi)
             if b < a:
                 raise GapembedError(f"empty range {text!r}")
+            if b - a >= sys.maxsize:
+                raise GapembedError(f"range {text!r} has too many values")
             return list(range(a, b + 1))
         return [int(text)]
     except ValueError:
@@ -433,14 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built by the first `main` call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(_config_argv(parser, argv))
         return args.func(args)
-    except (GapembedError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GapembedError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ in the graph with step_max = m.
 The per-row state is a bitmask of reachable x-coordinates; one row transition
 is a window-OR (union of shifts by 1..step_max) intersected with the row's
 match mask.  The window-OR is a doubling smear: about log2(step_max)
-shift-ORs over the whole mask instead of one shift per allowed step.
+shift-ORs over the whole mask instead of one shift per allowed step.  One
+generator, `_frontier_masks`, yields the rows of every single-pair DP, reading
+Y's symbols from `Y.text`: a decision holds one row, the witness trace lists
+them all, and `rect_reachable` runs it on a window of X and Y.
 
 `embeddable_lanes` runs the same DP for many independent pairs at once, one
 pair per bit lane (shift-and matching, Baeza-Yates & Gonnet 1992).  Arrays
@@ -21,7 +24,7 @@ position axis, and the match of row j is XNOR(X lanes, Y(j)'s lane word).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -43,13 +46,6 @@ def _window_or(mask: int, step: int) -> int:
     return out << 1
 
 
-def _range_mask(lo: int, hi: int) -> int:
-    """Bitmask with bits lo..hi set (empty when hi < lo)."""
-    if hi < lo:
-        return 0
-    return (1 << (hi + 1)) - (1 << lo)
-
-
 @dataclass(frozen=True)
 class ReachFrontier:
     """Reachable x-coordinates of one row, bit-packed in `mask`."""
@@ -60,9 +56,6 @@ class ReachFrontier:
     def positions(self) -> list[int]:
         # One pass over the binary digits, least significant first.
         return [i for i, digit in enumerate(bin(self.mask)[:1:-1]) if digit == "1"]
-
-    def contains(self, position: int) -> bool:
-        return position >= 0 and bool(self.mask >> position & 1)
 
     def is_empty(self) -> bool:
         return self.mask == 0
@@ -100,46 +93,24 @@ class EmbeddingPath:
         return {"m": self.gap_bound, "steps": list(self.steps)}
 
 
-def frontier_step(prev: ReachFrontier, match_mask: int, step_max: int) -> ReachFrontier:
-    """Advance one row: positions i in match_mask with a predecessor within step_max.
-
-    `match_mask` is a bitmask over positions of the new row (bit i set iff
-    X(i) equals the row symbol).  Empty inputs yield an empty frontier.
-    """
-    if step_max < 1:
-        raise InputBoundsError("step_max must be >= 1")
-    return ReachFrontier(prev.row + 1, _window_or(prev.mask, step_max) & match_mask)
-
-
 def _frontier_masks(
-    X: BinarySequence,
-    Y: BinarySequence,
-    m: int,
-    L: int,
-    x_lo: int = 0,
-    x_hi: Optional[int] = None,
-    start: int = 0,
-    y_offset: int = 0,
-) -> list[int]:
-    """Row masks 0..L for the DP started at x-position `start`.
+    X: BinarySequence, Y: BinarySequence, m: int, L: int
+) -> Iterator[int]:
+    """Yield the row masks 1..L of the DP from the origin <0,0>.
 
-    Rows j = 1..L read symbol Y(y_offset + j); positions are clipped to
-    [x_lo, x_hi] (and never exceed len(X): reachability past the end of X is
-    treated as false, not as an error).  A gap longer than len(X) lands past
-    the clip, so the smear stops at len(X) whatever m is.
+    Row j reads Y(j) from `Y.text`; the generator stops after the first
+    empty row.  X's match masks have bits only at 1..len(X), so reachability
+    past the end of X is false, not an error, and a gap longer than len(X)
+    is no different from one of len(X).
     """
-    if x_hi is None:
-        x_hi = len(X)
-    x_hi = min(x_hi, len(X))
-    clip = _range_mask(max(x_lo, 0), x_hi)
     step = min(m, len(X))
-    masks = [1 << start]
-    mask = masks[0]
-    for j in range(1, L + 1):
-        if mask:
-            mask = _window_or(mask, step) & X.match_mask(Y.symbol(y_offset + j)) & clip
-        masks.append(mask)
-    return masks
+    ones, zeros = X.match_mask(1), X.match_mask(0)
+    mask = 1
+    for symbol in Y.text[:L]:
+        mask = _window_or(mask, step) & (ones if symbol == "1" else zeros)
+        yield mask
+        if not mask:
+            return
 
 
 def embeddable_prefix(
@@ -156,8 +127,10 @@ def embeddable_prefix(
         raise InputBoundsError(f"L={L} outside 0..{len(Y)}")
     if m < 1:
         raise InputBoundsError("m must be >= 1")
-    masks = _frontier_masks(X, Y, m, L)
-    return masks[L] != 0, ReachFrontier(L, masks[L])
+    mask = 1
+    for mask in _frontier_masks(X, Y, m, L):
+        pass
+    return mask != 0, ReachFrontier(L, mask)
 
 
 def embeddable_lanes(
@@ -205,9 +178,9 @@ def extract_embedding(
     """Return a witnessing path when one exists, else None.
 
     Deterministic tie-break: the backward trace from row L picks the smallest
-    final position, then the smallest valid predecessor at every row.  With
-    `with_frontier`, return (row L's frontier, path) from the same DP, for a
-    caller that reports both.
+    final position, then the smallest valid predecessor at every row, so it
+    keeps every row of the DP.  With `with_frontier`, return (row L's
+    frontier, path) from the same DP, for a caller that reports both.
     """
     if L is None:
         L = len(Y)
@@ -215,27 +188,33 @@ def extract_embedding(
         raise InputBoundsError(f"L={L} outside 0..{len(Y)}")
     if m < 1:
         raise InputBoundsError("m must be >= 1")
-    masks = _frontier_masks(X, Y, m, L)
+    masks = [1, *_frontier_masks(X, Y, m, L)]
+    final = masks[-1]  # row L, or 0 when an earlier row was empty
     path = None
-    if masks[L]:
+    if final:
         steps = [0] * L
-        pos = (masks[L] & -masks[L]).bit_length() - 1
+        pos = (final & -final).bit_length() - 1
         for j in range(L, 0, -1):
             steps[j - 1] = pos
             if j > 1:
-                cands = masks[j - 1] & _range_mask(max(pos - m, 0), pos - 1)
-                pos = (cands & -cands).bit_length() - 1
+                # Row j-1 holds a predecessor in [pos - m, pos - 1], so its
+                # lowest bit at or above pos - m is the smallest one.  Cutting
+                # the row at pos first keeps the shift short.
+                lo = max(pos - m, 0)
+                cands = (masks[j - 1] & ((1 << pos) - 1)) >> lo
+                pos = lo + (cands & -cands).bit_length() - 1
         path = EmbeddingPath(tuple(steps), m)
-    return (ReachFrontier(L, masks[L]), path) if with_frontier else path
+    return (ReachFrontier(L, final), path) if with_frontier else path
 
 
 def check_embedding(X: BinarySequence, Y: BinarySequence, path: EmbeddingPath) -> bool:
     """Validate gap constraints and symbol equalities of `path` against (X, Y)."""
+    x_text, y_text = X.text, Y.text
     prev = 0
     for i, n in enumerate(path.steps, start=1):
         if not 1 <= n - prev <= path.gap_bound:
             return False
-        if n > len(X) or i > len(Y) or X.symbol(n) != Y.symbol(i):
+        if n > len(X) or i > len(Y) or x_text[n - 1] != y_text[i - 1]:
             return False
         prev = n
     return True
@@ -290,27 +269,23 @@ def rect_reachable(
     u: tuple[int, int],
     v: tuple[int, int],
     step_max: int,
-    x_lo: Optional[int] = None,
-    x_hi: Optional[int] = None,
 ) -> bool:
-    """Is v reachable from u, with intermediate x-positions clipped to [x_lo, x_hi]?
+    """Is v reachable from u?  The path's x-positions lie in ]u0, v0].
 
     Rows advance by one per edge, so this requires u1 <= v1; with u1 == v1 only
-    v == u is reachable (the graph has no horizontal edges).
+    v == u is reachable (the graph has no horizontal edges).  The decision DP
+    runs on the window X(u0+1..v0), Y(u1+1..v1), cut at the end of X, and
+    reads bit v0 - u0.  A negative coordinate or v1 > len(Y) raises
+    InputBoundsError.
     """
     (u0, u1), (v0, v1) = u, v
-    if v1 < u1 or (v1 == u1 and v0 != u0):
-        return False
+    if min(u0, u1, v0, v1) < 0 or v1 > len(Y):
+        raise InputBoundsError(f"corners {u}, {v} outside Z+ x 0..{len(Y)}")
     if (v0, v1) == (u0, u1):
         return True
-    masks = _frontier_masks(
-        X,
-        Y,
-        step_max,
-        v1 - u1,
-        x_lo=u0 + 1 if x_lo is None else x_lo,
-        x_hi=v0 if x_hi is None else x_hi,
-        start=u0,
-        y_offset=u1,
-    )
-    return bool(masks[-1] >> v0 & 1)
+    if v1 <= u1 or v0 <= u0:
+        return False
+    window_x = BinarySequence.from_string(X.text[u0:v0])
+    window_y = BinarySequence.from_string(Y.text[u1:v1])
+    _, frontier = embeddable_prefix(window_x, window_y, step_max)
+    return bool(frontier.mask >> (v0 - u0) & 1)

@@ -20,6 +20,7 @@ as many trials as keep its Philox block within `_CHUNK_BYTES`.
 from __future__ import annotations
 
 import io
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -40,6 +41,11 @@ CSV_HEADER = "m,L,trials,successes,p_hat,ci_low,ci_high,rng_id,master_seed"
 # draws (4 words per 256 stream bits, rounded up) within _CHUNK_BYTES; its
 # lane array is never larger.
 _CHUNK_BYTES = 1 << 20
+
+# The longest sequence or sample count a run may ask for, checked before
+# drawing: a lane row takes 8 bytes per stream bit, and numpy cannot index
+# an array of sys.maxsize bytes.
+_MAX_LENGTH = sys.maxsize // 16
 
 # The six stages of a 64x64 bit transpose: (j, mask of the low j bits of
 # every 2j-bit group).  Hacker's Delight, 2nd ed., section 7-3.
@@ -77,6 +83,10 @@ class TrialPlan:
             raise InputBoundsError("x_length must be nonnegative")
         if self.x_length is None:
             object.__setattr__(self, "x_length", self.m * self.L)
+        if self.x_length + self.L > _MAX_LENGTH:
+            raise InputBoundsError(
+                f"x_length + L = {self.x_length + self.L} exceeds {_MAX_LENGTH}"
+            )
 
     def trial_sequences(self, t: int) -> tuple[BinarySequence, BinarySequence]:
         """The (X, Y) pair of trial t; pure in (master_seed, m, L, t)."""
@@ -301,6 +311,8 @@ def wall_frequency_check(
         raise InputBoundsError("l too large for the vectorized sampler")
     if samples < 1:
         raise UnderpoweredError("need at least one sample")
+    if samples > _MAX_LENGTH:
+        raise InputBoundsError(f"samples must be at most {_MAX_LENGTH}")
     words = np.random.Generator(philox(seed, (0, m, l))).integers(
         0, 1 << l, size=samples, dtype=np.uint64
     )
@@ -356,8 +368,10 @@ def hole_frequency_check(m: int, samples: int, seed: int = 0) -> HoleFrequencyRe
     stream (t, m, 0x410); one `stream_block` call draws every sample's."""
     if samples < 1:
         raise UnderpoweredError("need at least one sample")
-    if m < 2:
-        raise InputBoundsError("m must be >= 2")
+    if samples > _MAX_LENGTH:
+        raise InputBoundsError(f"samples must be at most {_MAX_LENGTH}")
+    if not 2 <= m <= _MAX_LENGTH:
+        raise InputBoundsError(f"m must be in 2..{_MAX_LENGTH}")
     # X: zero padding, a run of ones of length exactly m, zero padding.
     i0 = 2
     X = BinarySequence.from_string("00" + "1" * m + "0101")

@@ -251,9 +251,7 @@ def _good_hole_exists(
             a2 = a1 + s
             if a2 > len(X):
                 break
-            if rect_reachable(
-                X, Y, (a1, v), (a2, w_end), 3 * m, x_lo=a1 + 1, x_hi=a2
-            ):
+            if rect_reachable(X, Y, (a1, v), (a2, w_end), 3 * m):
                 return True
     return False
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapembed
-from gapembed import engine
+from gapembed import cli, engine
 from gapembed.cli import main
 from gapembed.experiments import CSV_HEADER
 from gapembed.params import DEFAULT_EXPONENTS
@@ -33,6 +34,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv, limit_bytes=None):
+    """`python -m gapembed.cli argv` in a new process, with the address space
+    of that process alone capped at `limit_bytes` when given."""
+    src = str(Path(gapembed.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    cap = None
+    if limit_bytes is not None:
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+    return subprocess.run(
+        [sys.executable, "-m", "gapembed.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=cap,
+    )
 
 
 # ------------------------------------------------------------- embed
@@ -562,6 +579,50 @@ def test_simulate_negative_x_length_exits_two(capsys):
     code, out, err = run_cli(capsys, "simulate", "--trials", "3", "--x-length", "-5")
     assert code == 2
     assert out == "" and err.startswith("error:") and "x_length" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Sizes no array or string can index: refused before anything is drawn.
+        ["simulate", "--m-range", "99999999999999999999"],
+        ["simulate", "--L-range", "99999999999999999999", "--m-range", "1"],
+        ["simulate", "--m-range", "1..99999999999999999999"],
+        ["simulate", "--check", "holes", "--m-check", "99999999999999999999"],
+        ["simulate", "--check", "holes", "--samples", "99999999999999999999"],
+        # Sizes past the memory limit: MemoryError becomes one error line.
+        ["simulate", "--m-range", "100000000000"],
+        ["simulate", "--check", "holes", "--m-check", "10000000000"],
+    ],
+    ids=["m-range", "L-range", "m-range-span", "m-check", "samples", "m-range-mem",
+         "m-check-mem"],
+)
+def test_huge_simulate_sizes_exit_two(argv):
+    proc = run_fresh(*argv, limit_bytes=1536 << 20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_main_builds_one_parser(tmp_path, capsys):
+    x = write_seq(tmp_path, "x.txt", "0111000110100001111001011100")
+    y = write_seq(tmp_path, "y.txt", "0010111010")
+    embed_conf = tmp_path / "embed.conf"
+    embed_conf.write_text(f"x={x}\ny={y}\nm=4\nwitness=true\n", encoding="utf-8")
+    sim_conf = tmp_path / "simulate.conf"
+    sim_conf.write_text("m-range=1..3\nL_range=6\ntrials=40\nseed=5\n", encoding="utf-8")
+    runs = [
+        ["embed", "--config", str(embed_conf)],
+        ["simulate", "--config", str(sim_conf), "--format", "json"],
+        ["embed", "--config", str(embed_conf), "--m", "1"],
+    ]
+    cli._parser.cache_clear()
+    in_process = [run_cli(capsys, *argv)[:2] for argv in runs]
+    assert cli._parser.cache_info().misses == 1
+    fresh = [run_fresh(*argv) for argv in runs]
+    assert in_process == [(proc.returncode, proc.stdout) for proc in fresh]
+    assert [code for code, _ in in_process] == [0, 0, 1]
 
 
 _SMALL = ["-3", "-1", "0", "1", "2", "3", "4", "6", "", "x", "1.5", "1e3"]

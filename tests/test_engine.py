@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from gapembed import (
     compose_embeddings,
     embeddable_prefix,
     extract_embedding,
-    frontier_step,
     rect_reachable,
 )
 from gapembed.engine import _window_or
@@ -46,19 +47,6 @@ def test_window_or_fragmented_fallback():
 def test_positions_lists_set_bits_of_wide_masks(mask):
     frontier = ReachFrontier(0, mask)
     assert frontier.positions() == [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def test_frontier_step_examples():
-    empty = frontier_step(ReachFrontier(0, 0), (1 << 30) - 2, 3)
-    assert empty.is_empty()
-
-    forced = frontier_step(ReachFrontier(0, 1), (1 << 10) - 2, 1)
-    assert forced.positions() == [1]
-
-    X = BinarySequence.from_string("0110100110")
-    out = frontier_step(ReachFrontier(0, 1), X.match_mask(1), 3)
-    assert out.positions() == [2, 3]
-    assert out.row == 1
 
 
 def test_embeddable_trivial_cases():
@@ -223,10 +211,77 @@ def test_rect_reachable_clipping():
     Y = BinarySequence.from_string("11")
     # <0,0> -> <2,1> -> <3,2> inside x-range ]0,3]
     assert rect_reachable(X, Y, (0, 0), (3, 2), 2)
-    # forbidding x=2 cuts the only route to <3,2> with step 1
-    assert not rect_reachable(X, Y, (0, 0), (3, 2), 1, x_lo=3, x_hi=3)
     assert rect_reachable(X, Y, (1, 1), (1, 1), 3)
     assert not rect_reachable(X, Y, (2, 1), (1, 2), 3)
+
+
+def dfs_rect_reachable(X, Y, u, v, step_max):
+    """Independent oracle: DFS over points (x, row) with x in ]u0, min(v0, len(X))]."""
+    (u0, u1), (v0, v1) = u, v
+    stack, seen = [u], {u}
+    while stack:
+        x, row = stack.pop()
+        if (x, row) == v:
+            return True
+        if row >= v1:
+            continue
+        for nx in range(x + 1, min(x + step_max, v0, len(X)) + 1):
+            point = (nx, row + 1)
+            if X.symbol(nx) == Y.symbol(row + 1) and point not in seen:
+                seen.add(point)
+                stack.append(point)
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    binary_sequences(max_length=8),
+    binary_sequences(max_length=5),
+    st.integers(1, 4),
+)
+def test_rect_reachable_matches_dfs(X, Y, step_max):
+    for u0 in range(len(X) + 1):
+        for v0 in range(len(X) + 1):
+            for u1 in range(len(Y) + 1):
+                for v1 in range(len(Y) + 1):
+                    u, v = (u0, u1), (v0, v1)
+                    assert rect_reachable(X, Y, u, v, step_max) == dfs_rect_reachable(
+                        X, Y, u, v, step_max
+                    ), (u, v)
+
+
+def test_rect_reachable_rejects_out_of_range_corners():
+    X = BinarySequence.from_string("0110")
+    Y = BinarySequence.from_string("11")
+    for u, v in (
+        ((-1, 0), (2, 1)),
+        ((0, -1), (2, 1)),
+        ((0, 0), (-2, 1)),
+        ((0, 0), (2, -1)),
+        ((0, 0), (4, 3)),
+        ((0, 3), (0, 3)),
+    ):
+        with pytest.raises(InputBoundsError):
+            rect_reachable(X, Y, u, v, 2)
+    # Past the end of X is unreachable, not an error.
+    assert not rect_reachable(X, Y, (0, 0), (5, 2), 2)
+
+
+def test_decision_holds_one_row_at_a_time():
+    rng = random.Random(82)
+    X = BinarySequence(rng.getrandbits(20_000), 20_000)
+    Y = BinarySequence(rng.getrandbits(2_000), 2_000)
+    row_bytes = sys.getsizeof(X.match_mask(1))
+    Y.text  # built once per sequence; not a row
+    tracemalloc.start()
+    try:
+        ok, frontier = embeddable_prefix(X, Y, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Every row was computed, so keeping them all would cost ~2,000 rows.
+    assert ok and frontier.row == 2_000
+    assert peak < 20 * row_bytes, (peak, row_bytes)
 
 
 def test_frontier_json_shapes():

@@ -98,12 +98,10 @@ def find_fitting_hole_oracle(
                 break
             if wall.orientation == "v":
                 entry, exit_ = (body.left, a), (body.right, a + s)
-                ok = rect_reachable(
-                    X, Y, entry, exit_, step_max, x_lo=body.left, x_hi=body.right
-                )
+                ok = rect_reachable(X, Y, entry, exit_, step_max)
             else:
                 entry, exit_ = (a, body.left), (a + s, body.right)
-                ok = rect_reachable(X, Y, entry, exit_, step_max, x_lo=a + 1, x_hi=a + s)
+                ok = rect_reachable(X, Y, entry, exit_, step_max)
             if ok:
                 return Hole(Interval(a, a + s), wall, entry, exit_)
     return None

@@ -362,12 +362,4 @@ def test_fitting_hole_reverifies(data):
     if hole is None:
         return
     assert hole.interval.size <= 2 * m * wall.size
-    assert rect_reachable(
-        X,
-        Y,
-        hole.entry,
-        hole.exit,
-        3 * m,
-        x_lo=wall.body.left,
-        x_hi=wall.body.right,
-    )
+    assert rect_reachable(X, Y, hole.entry, hole.exit, 3 * m)
