@@ -8,17 +8,11 @@ stay meaningful at every level even where floats overflow or underflow.
 """
 
 import argparse
-import math
 import sys
 
 from gapembed import DEFAULT_EXPONENTS, base_params, level_table
 from gapembed.errors import GapembedError
-from gapembed.params import feasibility_horizon
-
-
-def _float(x) -> float:
-    """x as a float, inf past the float range (as `gapembed params` prints R)."""
-    return float(x) if x <= sys.float_info.max else math.inf
+from gapembed.params import feasibility_horizon, report_float
 
 
 def main() -> int:
@@ -34,16 +28,10 @@ def main() -> int:
         return 2
     print("level  R            log_Delta    sigma_x        q_tri     q_inv     facts")
     for p, facts in rows:
-        notes = []
-        if not facts.delta_ratio_ok:
-            notes.append("delta-ratio")
-        if not facts.q_tri_ok:
-            notes.append("q-tri")
-        if not facts.q_inv_ok:
-            notes.append("q-inv")
+        notes = [] if facts.delta_ratio_ok else ["delta-ratio"]
         notes.extend(facts.slope_violations)
         print(
-            f"{p.level:<6d} {_float(p.R):<12.4f} {_float(p.log_Delta):<12.4f} "
+            f"{p.level:<6d} {report_float(p.R):<12.4f} {report_float(p.log_Delta):<12.4f} "
             f"{p.sigma_x:<14.6g} {p.q_tri:<9.4f} {p.q_inv:<9.4f} "
             f"{'ok' if not notes else ';'.join(notes)}"
         )

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -44,6 +43,7 @@ from .params import (
     base_params,
     lam_pow,
     level_table,
+    report_float,
     verify_exponents,
 )
 from .rng import RNG_ID
@@ -158,10 +158,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _open_out(path):
+def _gap_threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not value >= 0:  # also refuses NaN, which fails every comparison
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _write_out(path, text: str) -> None:
+    """Write text to the file at path, or to stdout for None or "-"."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------- embed
@@ -186,7 +199,7 @@ def cmd_embed(args) -> int:
             "frontier": frontier.to_json(),
         }
         if args.witness:
-            doc["path"] = path.to_json() if path else None
+            doc["path"] = path.to_json() if path is not None else None
         print(json.dumps(doc))
     else:
         print(f"# gapembed {__version__}")
@@ -275,18 +288,12 @@ def cmd_params(args) -> int:
     if report.passed:
         base = base_params(args.m, exponents)
         for p, _facts in level_table(exponents, base, args.levels):
-            R = float(p.R) if p.R <= sys.float_info.max else math.inf  # as lam_pow
             lines.append(
-                f"{p.level},{R!r},{p.T!r},{p.Delta!r},{p.Gamma!r},"
+                f"{p.level},{report_float(p.R)!r},{p.T!r},{p.Delta!r},{p.Gamma!r},"
                 f"{p.Phi!r},{p.Psi!r},{p.w!r},{p.q_tri!r},{p.q_inv!r},"
                 f"{p.sigma_x!r},{p.sigma_y!r}"
             )
-    out, close_out = _open_out(args.out)
-    try:
-        out.write("\n".join(lines) + "\n")
-    finally:
-        if close_out:
-            out.close()
+    _write_out(args.out, "\n".join(lines) + "\n")
     report_text = json.dumps(report.to_json())
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -319,12 +326,7 @@ def cmd_simulate(args) -> int:
             text = "\n".join(lines) + "\n"
         else:
             text = rows_to_csv(rows, version=__version__)
-    out, close_out = _open_out(args.out)
-    try:
-        out.write(text)
-    finally:
-        if close_out:
-            out.close()
+    _write_out(args.out, text)
     return 0
 
 
@@ -400,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--holes", action="store_true", help="search holes (needs --y)")
     p.add_argument("--span", action="store_true", help="emit spanning sequences")
-    p.add_argument("--delta", type=float, default=None, help="external gap threshold")
+    p.add_argument("--delta", type=_gap_threshold, default=None, help="external gap threshold")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_analyze)
 

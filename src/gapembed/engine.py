@@ -86,9 +86,6 @@ class EmbeddingPath:
                 raise InputBoundsError(f"steps must be increasing, got {n} after {prev}")
             prev = n
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def to_json(self) -> dict:
         return {"m": self.gap_bound, "steps": list(self.steps)}
 
@@ -113,6 +110,17 @@ def _frontier_masks(
             return
 
 
+def _prefix_length(Y: BinarySequence, m: int, L: Optional[int]) -> int:
+    """L, defaulting to len(Y), after checking 0 <= L <= len(Y) and m >= 1."""
+    if L is None:
+        L = len(Y)
+    if L < 0 or L > len(Y):
+        raise InputBoundsError(f"L={L} outside 0..{len(Y)}")
+    if m < 1:
+        raise InputBoundsError("m must be >= 1")
+    return L
+
+
 def embeddable_prefix(
     X: BinarySequence, Y: BinarySequence, m: int, L: Optional[int] = None
 ) -> tuple[bool, ReachFrontier]:
@@ -121,12 +129,7 @@ def embeddable_prefix(
     Returns the decision together with the final row's frontier.  L defaults
     to len(Y); L = 0 is the empty embedding (always true, frontier {0}).
     """
-    if L is None:
-        L = len(Y)
-    if L < 0 or L > len(Y):
-        raise InputBoundsError(f"L={L} outside 0..{len(Y)}")
-    if m < 1:
-        raise InputBoundsError("m must be >= 1")
+    L = _prefix_length(Y, m, L)
     mask = 1
     for mask in _frontier_masks(X, Y, m, L):
         pass
@@ -182,12 +185,7 @@ def extract_embedding(
     keeps every row of the DP.  With `with_frontier`, return (row L's
     frontier, path) from the same DP, for a caller that reports both.
     """
-    if L is None:
-        L = len(Y)
-    if L < 0 or L > len(Y):
-        raise InputBoundsError(f"L={L} outside 0..{len(Y)}")
-    if m < 1:
-        raise InputBoundsError("m must be >= 1")
+    L = _prefix_length(Y, m, L)
     masks = [1, *_frontier_masks(X, Y, m, L)]
     final = masks[-1]  # row L, or 0 when an earlier row was empty
     path = None

@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -34,8 +34,6 @@ from .rng import RNG_ID, philox, stream_bits, stream_block
 from .sequences import BinarySequence
 from .stats import wilson_interval
 from .walls import Interval, WallValue, find_fitting_hole
-
-CSV_HEADER = "m,L,trials,successes,p_hat,ci_low,ci_high,rng_id,master_seed"
 
 # A lane chunk holds as many words of 64 trials as keep the Philox block it
 # draws (4 words per 256 stream bits, rounded up) within _CHUNK_BYTES; its
@@ -116,24 +114,14 @@ class EstimateRow:
         assert self.ci_low <= self.p_hat <= self.ci_high
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "L": self.L,
-            "trials": self.trials,
-            "successes": self.successes,
-            "p_hat": self.p_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "rng_id": self.rng_id,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
 
     def csv_line(self) -> str:
-        return (
-            f"{self.m},{self.L},{self.trials},{self.successes},"
-            f"{self.p_hat!r},{self.ci_low!r},{self.ci_high!r},"
-            f"{self.rng_id},{self.master_seed}"
-        )
+        # str of a float is its repr, so the line round-trips every field.
+        return ",".join(map(str, astuple(self)))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(EstimateRow))
 
 
 def _transpose64(a: np.ndarray) -> None:
@@ -243,11 +231,11 @@ def sweep(
     return [estimate_embed_prob(plan) for plan in plans]
 
 
-def rows_to_csv(rows: Sequence[EstimateRow], version: str = "") -> str:
-    """Render rows with the fixed header; byte-stable for identical inputs."""
+def rows_to_csv(rows: Sequence[EstimateRow], version: str) -> str:
+    """Render rows under a version line and the fixed header; byte-stable for
+    identical inputs."""
     buf = io.StringIO()
-    if version:
-        buf.write(f"# gapembed {version} rng_id={RNG_ID}\n")
+    buf.write(f"# gapembed {version} rng_id={RNG_ID}\n")
     buf.write(CSV_HEADER + "\n")
     for row in rows:
         buf.write(row.csv_line() + "\n")
@@ -272,22 +260,11 @@ class WallFrequencyReport:
     z_counted: float
     p_nominal: float
     z_nominal: float
+    rng_id: str
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "l": self.l,
-            "samples": self.samples,
-            "occurrences": self.occurrences,
-            "rate": self.rate,
-            "p_counted": self.p_counted,
-            "z_counted": self.z_counted,
-            "p_nominal": self.p_nominal,
-            "z_nominal": self.z_nominal,
-            "rng_id": RNG_ID,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _z_score(rate: float, p: float, n: int) -> float:
@@ -330,6 +307,7 @@ def wall_frequency_check(
         z_counted=_z_score(rate, p_counted, samples),
         p_nominal=p_nominal,
         z_nominal=_z_score(rate, p_nominal, samples),
+        rng_id=RNG_ID,
         seed=seed,
     )
 
@@ -345,19 +323,11 @@ class HoleFrequencyReport:
     rate: float
     expected: float
     z: float
+    rng_id: str
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "samples": self.samples,
-            "occurrences": self.occurrences,
-            "rate": self.rate,
-            "expected": self.expected,
-            "z": self.z,
-            "rng_id": RNG_ID,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def hole_frequency_check(m: int, samples: int, seed: int = 0) -> HoleFrequencyReport:
@@ -392,5 +362,6 @@ def hole_frequency_check(m: int, samples: int, seed: int = 0) -> HoleFrequencyRe
         rate=rate,
         expected=0.5,
         z=_z_score(rate, 0.5, samples),
+        rng_id=RNG_ID,
         seed=seed,
     )

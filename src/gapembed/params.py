@@ -20,6 +20,7 @@ and c3 as arguments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -53,6 +54,11 @@ def lam_pow(exponent: Fraction) -> float:
         return float(2.0 ** (float(exponent) / 2))
     except OverflowError:
         return math.inf if exponent > 0 else 0.0
+
+
+def report_float(x: Fraction) -> float:
+    """x as a float for reports; a value past the float range gives inf."""
+    return float(x) if x <= sys.float_info.max else math.inf
 
 
 def cmp_lam_pow(exponent: Fraction, value: Fraction) -> int:
@@ -393,8 +399,6 @@ class LevelFacts:
 
     level: int
     delta_ratio_ok: bool  # Delta_k / Delta_{k+1} < slb^2 / 2
-    q_tri_ok: bool
-    q_inv_ok: bool
     slope_violations: tuple[str, ...]
 
 
@@ -432,8 +436,6 @@ def level_table(
         facts = LevelFacts(
             level=params.level,
             delta_ratio_ok=cmp_lam_pow(ratio_log, base.slb**2 / 2) < 0,
-            q_tri_ok=params.q_tri < 0.05,
-            q_inv_ok=params.q_inv < 0.55,
             slope_violations=tuple(params.slope_sanity()),
         )
         rows.append((params, facts))
@@ -446,13 +448,7 @@ def feasibility_horizon(rows: Sequence[tuple[LevelParams, LevelFacts]]) -> int:
     """Last level before any stepping fact fails (0 when level 1 already fails)."""
     horizon = 0
     for params, facts in rows:
-        ok = (
-            facts.delta_ratio_ok
-            and facts.q_tri_ok
-            and facts.q_inv_ok
-            and not facts.slope_violations
-        )
-        if not ok:
+        if not facts.delta_ratio_ok or facts.slope_violations:
             break
         horizon = params.level
     return horizon

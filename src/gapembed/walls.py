@@ -76,11 +76,6 @@ class Interval:
             return self.left <= other.left
         return self.left < other.left
 
-    def contains_point(self, x) -> bool:
-        if self.closed:
-            return self.left <= x <= self.right
-        return self.left < x <= self.right
-
 
 @dataclass(frozen=True)
 class WallValue:

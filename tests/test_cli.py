@@ -140,6 +140,21 @@ def test_embed_malformed_file(tmp_path, capsys):
     assert "offset 2" in err
 
 
+@pytest.mark.parametrize("y_text, L", [("1", "0"), ("", None)], ids=["L-zero", "empty-y"])
+def test_embed_empty_witness_is_a_path(tmp_path, capsys, y_text, L):
+    # The empty embedding is a witness with no steps, not a missing one.
+    x = write_seq(tmp_path, "x.txt", "10")
+    y = write_seq(tmp_path, "y.txt", y_text)
+    argv = ["embed", "--x", x, "--y", y, "--m", "2", "--witness", "--format", "json"]
+    if L is not None:
+        argv += ["--L", L]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["embeddable"] is True and doc["L"] == 0
+    assert doc["path"] == {"m": 2, "steps": []}
+
+
 def test_embed_L_out_of_range(tmp_path, capsys):
     x = write_seq(tmp_path, "x.txt", "10")
     y = write_seq(tmp_path, "y.txt", "1")
@@ -206,6 +221,29 @@ def test_analyze_holes_and_span(tmp_path, capsys):
     records = [json.loads(line) for line in out.strip().split("\n")[1:]]
     kinds = {rec.get("kind") for rec in records}
     assert "hole" in kinds and "span" in kinds
+
+
+@pytest.mark.parametrize("delta, via_config", [("nan", False), ("-1", False), ("nan", True)],
+                         ids=["nan", "negative", "config-nan"])
+def test_analyze_rejects_bad_delta(tmp_path, capsys, delta, via_config):
+    # NaN joins every wall into one cluster and a negative threshold splits
+    # overlapping walls; both are refused, while 0 and inf stay valid.
+    x = write_seq(tmp_path, "x.txt", "1110101010000101")
+    argv = ["analyze", "--x", x, "--m", "3", "--span"]
+    if via_config:
+        conf = tmp_path / "analyze.conf"
+        conf.write_text(f"delta={delta}\n", encoding="utf-8")
+        argv += ["--config", str(conf)]
+    else:
+        argv += ["--delta", delta]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--delta" in captured.err and "Traceback" not in captured.err
+    for ok in ("0", "inf"):
+        assert run_cli(capsys, "analyze", "--x", x, "--m", "3", "--span", "--delta", ok)[0] == 0
 
 
 # ------------------------------------------------------------- params
@@ -516,6 +554,23 @@ def test_check_holes_golden_corpus(capsys):
         assert out.count("\n") == case["lines"]
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], case
     assert {c["m"] for c in golden["cases"]} == {2, 3, 4, 5}
+
+
+def test_check_walls_golden_corpus(capsys):
+    # sha256 of `simulate --check walls` stdout, recorded before the report
+    # derived its JSON from its fields: l = 1, an l <= 32 and an l > 32 (numpy
+    # draws these through different paths), two seeds, 1 and 5000 samples.
+    golden = json.loads((DATA / "golden_check_walls.json").read_text())
+    for case in golden["cases"]:
+        code, out, _ = run_cli(
+            capsys, "simulate", "--check", "walls", "--m-check", str(case["m"]),
+            "--l", str(case["l"]), "--samples", str(case["samples"]),
+            "--seed", str(case["seed"]),
+        )
+        assert code == 0
+        assert out.count("\n") == case["lines"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], case
+    assert {c["l"] for c in golden["cases"]} == {1, 5, 40}
 
 
 def test_hole_paths_run_no_dp(tmp_path, capsys, monkeypatch):

@@ -49,3 +49,12 @@ def test_param_table_prints_past_the_float_range():
     lines = proc.stdout.splitlines()
     assert lines[-2].split()[:3] == ["1300", "inf", "inf"]
     assert lines[-1].startswith("feasibility horizon: level ")
+
+
+def test_param_table_lists_each_violation_once():
+    proc = run_script("param_table.py", "--m", "2", "--levels", "3")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:-1]
+    notes = [row.split()[-1].split(";") for row in rows]
+    assert "q-tri-cap" in notes[1] and "q-tri" not in notes[1]
+    assert all(len(set(row)) == len(row) for row in notes)
