@@ -205,7 +205,7 @@ def cmd_embed(args) -> int:
         print(f"# gapembed {__version__}")
         print("embeddable" if ok else "not embeddable")
         if path is not None:
-            print("steps " + " ".join(str(n) for n in path.steps))
+            print(" ".join(["steps", *map(str, path.steps)]))
     return 0 if ok else 1
 
 
@@ -295,7 +295,7 @@ def cmd_params(args) -> int:
             )
     _write_out(args.out, "\n".join(lines) + "\n")
     report_text = json.dumps(report.to_json())
-    if args.report:
+    if args.report and args.report != "-":
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report_text + "\n")
     else:
@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_positive_int, required=True)
     p.add_argument("--exponents", default=None, help="JSON file of exponent values")
     p.add_argument("--out", default=None, help="CSV destination (default stdout)")
-    p.add_argument("--report", default=None, help="constraint JSON destination")
+    p.add_argument("--report", default=None, help="constraint JSON destination (default or -: stdout)")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_params)
 

@@ -9,9 +9,13 @@ The per-row state is a bitmask of reachable x-coordinates; one row transition
 is a window-OR (union of shifts by 1..step_max) intersected with the row's
 match mask.  The window-OR is a doubling smear: about log2(step_max)
 shift-ORs over the whole mask instead of one shift per allowed step.  One
-generator, `_frontier_masks`, yields the rows of every single-pair DP, reading
-Y's symbols from `Y.text`: a decision holds one row, the witness trace lists
-them all, and `rect_reachable` runs it on a window of X and Y.
+generator, `_frontier_masks`, yields the rows of every single-pair DP from a
+start row and a string of Y's symbols: a decision holds one row, and
+`rect_reachable` runs it on a window of X and Y.  The witness trace keeps
+each row's lowest reachable position with the `_WINDOW` bits above it, plus
+a full row every ceil(sqrt(L)) rows (Hirschberg's checkpoints, CACM 1975); a
+query outside a row's window recomputes that row's segment from its
+checkpoint, so the trace holds about 2 sqrt(L) full rows at most.
 
 `embeddable_lanes` runs the same DP for many independent pairs at once, one
 pair per bit lane (shift-and matching, Baeza-Yates & Gonnet 1992).  Arrays
@@ -24,12 +28,21 @@ position axis, and the match of row j is XNOR(X lanes, Y(j)'s lane word).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import CompositionError, InputBoundsError, OracleSizeError
 from .sequences import BinarySequence
+
+# Bits the witness trace keeps above each row's lowest reachable position.
+_WINDOW = 256
+
+
+def _checkpoint_spacing(L: int) -> int:
+    """Rows between the full rows the witness trace keeps: ceil(sqrt(L))."""
+    return isqrt(L - 1) + 1 if L else 1
 
 
 def _window_or(mask: int, step: int) -> int:
@@ -91,19 +104,19 @@ class EmbeddingPath:
 
 
 def _frontier_masks(
-    X: BinarySequence, Y: BinarySequence, m: int, L: int
+    X: BinarySequence, symbols: str, m: int, mask: int = 1
 ) -> Iterator[int]:
-    """Yield the row masks 1..L of the DP from the origin <0,0>.
+    """Yield the DP rows that follow row `mask`, one per symbol of `symbols`.
 
-    Row j reads Y(j) from `Y.text`; the generator stops after the first
-    empty row.  X's match masks have bits only at 1..len(X), so reachability
-    past the end of X is false, not an error, and a gap longer than len(X)
-    is no different from one of len(X).
+    The default start is the origin <0,0>, and `symbols` is then Y's prefix
+    text.  The generator stops after the first empty row.  X's match masks
+    have bits only at 1..len(X), so reachability past the end of X is false,
+    not an error, and a gap longer than len(X) is no different from one of
+    len(X).
     """
     step = min(m, len(X))
     ones, zeros = X.match_mask(1), X.match_mask(0)
-    mask = 1
-    for symbol in Y.text[:L]:
+    for symbol in symbols:
         mask = _window_or(mask, step) & (ones if symbol == "1" else zeros)
         yield mask
         if not mask:
@@ -131,7 +144,7 @@ def embeddable_prefix(
     """
     L = _prefix_length(Y, m, L)
     mask = 1
-    for mask in _frontier_masks(X, Y, m, L):
+    for mask in _frontier_masks(X, Y.text[:L], m):
         pass
     return mask != 0, ReachFrontier(L, mask)
 
@@ -181,26 +194,63 @@ def extract_embedding(
     """Return a witnessing path when one exists, else None.
 
     Deterministic tie-break: the backward trace from row L picks the smallest
-    final position, then the smallest valid predecessor at every row, so it
-    keeps every row of the DP.  With `with_frontier`, return (row L's
-    frontier, path) from the same DP, for a caller that reports both.
+    final position, then the smallest valid predecessor at every row.  The
+    forward pass keeps, per row, its lowest reachable position and the
+    `_WINDOW` bits from there up, and a full row every
+    `_checkpoint_spacing(L)` rows.  A predecessor query that reaches past a
+    row's window recomputes the row's segment from the checkpoint below it
+    and keeps that segment while the trace is inside it.  With
+    `with_frontier`, return (row L's frontier, path) from the same DP, for a
+    caller that reports both.
     """
     L = _prefix_length(Y, m, L)
-    masks = [1, *_frontier_masks(X, Y, m, L)]
-    final = masks[-1]  # row L, or 0 when an earlier row was empty
+    step = min(m, len(X))
+    spacing = _checkpoint_spacing(L)
+    keep = (1 << _WINDOW) - 1
+    # Row j's lowest set bit is lows[j]; windows[j] is row j >> lows[j],
+    # cut to _WINDOW bits; checkpoints[c] is row c * spacing.
+    lows, windows, checkpoints = [0], [1], [1]
+    final = 1
+    for j, final in enumerate(_frontier_masks(X, Y.text[:L], m), 1):
+        if not final:
+            break
+        # Every position of row j lies above row j-1's lowest one, and the
+        # lowest usually lies within a step of it.  Cut the row there, then
+        # shift: both cost the cut's length, not the row's.
+        base, span = lows[-1], step + _WINDOW
+        while not (low := (final & ((1 << (base + span)) - 1)) >> base):
+            span *= 2
+        lo = base + (low & -low).bit_length() - 1
+        if lo + _WINDOW > base + span:
+            low = (final & ((1 << (lo + _WINDOW)) - 1)) >> base
+        lows.append(lo)
+        windows.append((low >> (lo - base)) & keep)
+        if j % spacing == 0:
+            checkpoints.append(final)
     path = None
     if final:
         steps = [0] * L
-        pos = (final & -final).bit_length() - 1
+        pos = lows[L]
+        seg_start, segment = L, []  # rows seg_start.. recomputed in full
         for j in range(L, 0, -1):
             steps[j - 1] = pos
             if j > 1:
-                # Row j-1 holds a predecessor in [pos - m, pos - 1], so its
-                # lowest bit at or above pos - m is the smallest one.  Cutting
-                # the row at pos first keeps the shift short.
-                lo = max(pos - m, 0)
-                cands = (masks[j - 1] & ((1 << pos) - 1)) >> lo
-                pos = lo + (cands & -cands).bit_length() - 1
+                # Row j-1 holds a predecessor in [pos - m, pos - 1]; its
+                # lowest bit there is the smallest.  It has no bits below
+                # lows[j-1], so the window answers whenever pos - 1 falls
+                # inside it.
+                base = lows[j - 1]
+                if pos - base <= _WINDOW:
+                    row = windows[j - 1]
+                else:
+                    if j - 1 < seg_start:
+                        seg_start = (j - 1) // spacing * spacing
+                        start = checkpoints[seg_start // spacing]
+                        segment = [start, *_frontier_masks(X, Y.text[seg_start : j - 1], m, start)]
+                    row, base = segment[j - 1 - seg_start], 0
+                lo = max(pos - m - base, 0)
+                cands = (row & ((1 << (pos - base)) - 1)) >> lo
+                pos = base + lo + (cands & -cands).bit_length() - 1
         path = EmbeddingPath(tuple(steps), m)
     return (ReachFrontier(L, final), path) if with_frontier else path
 

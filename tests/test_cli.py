@@ -155,6 +155,18 @@ def test_embed_empty_witness_is_a_path(tmp_path, capsys, y_text, L):
     assert doc["path"] == {"m": 2, "steps": []}
 
 
+@pytest.mark.parametrize("y_text, L", [("1", "0"), ("", None)], ids=["L-zero", "empty-y"])
+def test_embed_empty_text_witness_has_no_trailing_space(tmp_path, capsys, y_text, L):
+    x = write_seq(tmp_path, "x.txt", "10")
+    y = write_seq(tmp_path, "y.txt", y_text)
+    argv = ["embed", "--x", x, "--y", y, "--m", "2", "--witness"]
+    if L is not None:
+        argv += ["--L", L]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.split("\n")[1:] == ["embeddable", "steps", ""]
+
+
 def test_embed_L_out_of_range(tmp_path, capsys):
     x = write_seq(tmp_path, "x.txt", "10")
     y = write_seq(tmp_path, "y.txt", "1")
@@ -289,6 +301,17 @@ def test_params_files(tmp_path, capsys):
     assert code == 0
     assert out_csv.read_text().splitlines()[1].startswith("level,")
     assert json.loads(out_json.read_text())
+
+
+def test_params_report_dash_is_stdout(tmp_path, capsys, monkeypatch):
+    # `--report -` means stdout, like `--out -`, not a file named "-".
+    monkeypatch.chdir(tmp_path)
+    argv = ["params", "--m", "4", "--levels", "2"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--report", "-")
+    assert code == 0 and out == plain
+    assert list(tmp_path.iterdir()) == []
 
 
 _DEFAULT_EXPONENTS_JSON = {k: str(v) for k, v in asdict(DEFAULT_EXPONENTS).items()}

@@ -17,6 +17,7 @@ from gapembed import (
     extract_embedding,
     rect_reachable,
 )
+from gapembed import engine
 from gapembed.engine import _window_or
 from gapembed.errors import CompositionError, InputBoundsError, OracleSizeError
 
@@ -188,6 +189,75 @@ def test_round_trip(X, Y, m):
         assert check_embedding(X, Y, path)
 
 
+def full_row_trace(X, Y, m, L):
+    """(row L's frontier, path) from a trace that keeps every row of the DP.
+
+    Oracle for `extract_embedding`: the same tie-break, the smallest final
+    position and then the smallest valid predecessor at every row, read off
+    full rows instead of windows and recomputed segments.
+    """
+    masks = [1, *engine._frontier_masks(X, Y.text[:L], m)]
+    final = masks[-1]  # row L, or 0 when an earlier row was empty
+    path = None
+    if final:
+        steps = [0] * L
+        pos = (final & -final).bit_length() - 1
+        for j in range(L, 0, -1):
+            steps[j - 1] = pos
+            if j > 1:
+                lo = max(pos - m, 0)
+                cands = (masks[j - 1] & ((1 << pos) - 1)) >> lo
+                pos = lo + (cands & -cands).bit_length() - 1
+        path = EmbeddingPath(tuple(steps), m)
+    return ReachFrontier(L, final), path
+
+
+@pytest.mark.parametrize(
+    "window, spacing", [(1, 2), (2, 3), (None, None)], ids=["fallback", "edges", "default"]
+)
+@settings(max_examples=300, deadline=None)
+@given(
+    binary_sequences(max_length=40),
+    binary_sequences(max_length=20),
+    st.data(),
+    st.one_of(st.integers(1, 6), st.just(10**20)),
+)
+def test_witness_trace_matches_full_rows(window, spacing, X, Y, data, m):
+    # A one-bit window and checkpoints every other row send most predecessor
+    # queries through the recomputed segments; (2, 3) moves both boundaries.
+    L = data.draw(st.integers(0, len(Y)))
+    with pytest.MonkeyPatch.context() as mp:
+        if window is not None:
+            mp.setattr(engine, "_WINDOW", window)
+            mp.setattr(engine, "_checkpoint_spacing", lambda L: spacing)
+        got = extract_embedding(X, Y, m, L, with_frontier=True)
+    assert got == full_row_trace(X, Y, m, L)
+
+
+def test_witness_trace_recomputes_past_dead_ends(monkeypatch):
+    # Row j reaches j..min(3j, 1000) in the zeros, but only positions near
+    # 1000 lead on into the ones: the lowest positions of the zero rows are
+    # dead ends, so the trace leaves their windows and must recompute.
+    X = BinarySequence.from_string("0" * 1000 + "1" * 1000)
+    Y = BinarySequence.from_string("0" * 400 + "1" * 400)
+    expected = full_row_trace(X, Y, 3, len(Y))
+    calls = []
+    dp = engine._frontier_masks
+    monkeypatch.setattr(engine, "_frontier_masks", lambda *a: calls.append(a) or dp(*a))
+    got = extract_embedding(X, Y, 3, with_frontier=True)
+    assert len(calls) > 1, "the trace never left the rows' windows"
+    assert got == expected and got[1] is not None
+
+
+def test_witness_trace_recomputes_just_past_the_window(monkeypatch):
+    # Rows 1..4 are {1, 2}, {2, 4}, {4, 5, 6}, {7}.  From 5 in row 3 the
+    # predecessor in row 2 is 4, one past row 2's two-bit window {2, 3}.
+    monkeypatch.setattr(engine, "_WINDOW", 2)
+    X = BinarySequence.from_string("0010001")
+    Y = BinarySequence.from_string("0001")
+    assert extract_embedding(X, Y, 2).steps == (2, 4, 5, 7)
+
+
 def test_determinism():
     rng = random.Random(4)
     for _ in range(30):
@@ -282,6 +352,24 @@ def test_decision_holds_one_row_at_a_time():
     # Every row was computed, so keeping them all would cost ~2,000 rows.
     assert ok and frontier.row == 2_000
     assert peak < 20 * row_bytes, (peak, row_bytes)
+
+
+def test_witness_holds_few_rows():
+    rng = random.Random(82)
+    X = BinarySequence(rng.getrandbits(20_000), 20_000)
+    Y = BinarySequence(rng.getrandbits(2_000), 2_000)
+    row_bytes = sys.getsizeof(X.match_mask(1))
+    Y.text
+    tracemalloc.start()
+    try:
+        path = extract_embedding(X, Y, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Keeping every row would cost ~2,000 rows; the windows, the sqrt(L)
+    # checkpoints and at most one recomputed segment cost far fewer.
+    assert path is not None and len(path.steps) == 2_000
+    assert peak < 300 * row_bytes, (peak, row_bytes)
 
 
 def test_frontier_json_shapes():
