@@ -1,7 +1,7 @@
 """Bounded-gap embedding of random binary sequences.
 
 Solver (bitset reachability), base-level structure analysis (walls, holes,
-hops, cleanness), renormalization parameter calculus, and a reproducible
+hops), renormalization parameter calculus, and a reproducible
 Monte Carlo harness.
 """
 
@@ -12,7 +12,6 @@ from .engine import (
     ReachFrontier,
     brute_force_reachable,
     check_embedding,
-    compose_embeddings,
     embeddable_prefix,
     extract_embedding,
     rect_reachable,
@@ -30,11 +29,7 @@ from .params import (
     ExponentTuple,
     LevelParams,
     base_params,
-    emerging_rank,
-    hole_prob,
-    level_params,
     level_table,
-    rank_bound,
     rank_prob,
     verify_exponents,
 )
@@ -42,16 +37,12 @@ from .renorm import (
     CompoundWall,
     LevelStructures,
     compound_walls,
-    designate_emerging_walls,
-    detect_emerging_barrier,
     detect_missing_hole_event,
     estimate_missing_hole_trap,
     finish_step,
-    promote_cleanness,
 )
-from .sequences import BinarySequence, load_sequence_file, save_sequence_file
+from .sequences import BinarySequence, load_sequence_file
 from .walls import (
-    CleannessReport,
     Hole,
     Interval,
     WallValue,
@@ -60,8 +51,6 @@ from .walls import (
     find_fitting_hole,
     find_walls,
     hop_check,
-    is_external,
-    level1_cleanness,
     slope_condition,
     spanning_sequence,
 )

@@ -229,8 +229,9 @@ def cmd_analyze(args) -> int:
         for w in find_walls(Y, m, "h"):
             out.append(json.dumps(w.to_json()))
     if args.holes:
+        starts = range(len(Y))
         for w in x_walls:
-            hole = find_fitting_hole(w, Interval(0, max(len(Y) - 1, 0), closed=True), X, Y)
+            hole = find_fitting_hole(w, starts, X, Y)
             if hole is not None:
                 out.append(
                     json.dumps(

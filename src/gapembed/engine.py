@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import CompositionError, InputBoundsError, OracleSizeError
+from .errors import InputBoundsError, OracleSizeError
 from .sequences import BinarySequence
 
 # Bits the witness trace keeps above each row's lowest reachable position.
@@ -266,21 +266,6 @@ def check_embedding(X: BinarySequence, Y: BinarySequence, path: EmbeddingPath) -
             return False
         prev = n
     return True
-
-
-def compose_embeddings(p1: EmbeddingPath, p2: EmbeddingPath) -> EmbeddingPath:
-    """Compose an embedding of Y into Z (p1) with one of Z into X (p2).
-
-    Step i of the result is p2[p1[i]]; the gap bound multiplies, giving m^2
-    when both inputs share bound m.
-    """
-    for s in p1.steps:
-        if s > len(p2.steps):
-            raise CompositionError(
-                f"inner step {s} exceeds outer path length {len(p2.steps)}"
-            )
-    steps = tuple(p2.steps[s - 1] for s in p1.steps)
-    return EmbeddingPath(steps, p1.gap_bound * p2.gap_bound)
 
 
 def brute_force_reachable(

@@ -13,10 +13,6 @@ class OracleSizeError(GapembedError, ValueError):
     """Brute-force oracle guard tripped: instance too large for exhaustive search."""
 
 
-class CompositionError(GapembedError, ValueError):
-    """Path composition referenced an index outside the outer path."""
-
-
 class StructureError(GapembedError, ValueError):
     """A structural precondition failed; the message names the failing clause."""
 

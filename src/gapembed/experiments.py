@@ -352,7 +352,7 @@ def hole_frequency_check(m: int, samples: int, seed: int = 0) -> HoleFrequencyRe
     occurrences = 0
     for word in words[:, 0].tolist():
         Y = BinarySequence(word & ((1 << y_len) - 1), y_len)
-        hole = find_fitting_hole(wall, Interval(offset, offset, closed=True), X, Y)
+        hole = find_fitting_hole(wall, range(offset, offset + 1), X, Y)
         occurrences += hole is not None
     rate = occurrences / samples
     return HoleFrequencyReport(

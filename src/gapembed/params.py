@@ -12,9 +12,8 @@ bounds additively:
     sigma' = sigma + Lambda * slb^-3 * Delta/Gamma
     q'     = q + Delta' / T
 
-Lambda and the wall and hole constants c2 and c3 have no canonical value:
-Lambda is fixed at 10 (`LAMBDA`), and `rank_prob` and `hole_prob` take c2
-and c3 as arguments.
+Lambda and the wall constant c2 have no canonical value: Lambda is fixed at
+10 (`LAMBDA`), and `rank_prob` takes c2 as an argument.
 """
 
 from __future__ import annotations
@@ -402,19 +401,6 @@ class LevelFacts:
     slope_violations: tuple[str, ...]
 
 
-def level_params(
-    exponents: ExponentTuple, base: LevelParams, k: int
-) -> LevelParams:
-    """Parameter vector at level k: the last row of `level_table`.
-
-    k = 1 returns the base unchanged.  Raises when the exponent tuple fails
-    feasibility.
-    """
-    if k < 1:
-        raise InputBoundsError("level must be >= 1")
-    return level_table(exponents, base, k)[-1][0]
-
-
 def level_table(
     exponents: ExponentTuple, base: LevelParams, k_max: int
 ) -> list[tuple[LevelParams, LevelFacts]]:
@@ -459,23 +445,3 @@ def rank_prob(r, c2: RationalLike = Fraction(1, 4)) -> float:
     if r <= 0:
         raise InputBoundsError("rank must be positive")
     return float(_frac(c2)) * float(r) ** (-C1) * 2.0 ** (-float(r) / 2)
-
-
-def hole_prob(r, chi: RationalLike = Fraction(3, 200), c3: RationalLike = 4) -> float:
-    """Hole probability floor h(r) = c3 * lam^(-chi*r), strictly decreasing."""
-    if r <= 0:
-        raise InputBoundsError("rank must be positive")
-    return float(_frac(c3)) * 2.0 ** (-float(_frac(chi)) * float(r) / 2)
-
-
-def rank_bound(R: RationalLike, tau: RationalLike) -> Fraction:
-    """Upper bound tau_bar * R on every rank present at rank floor R."""
-    t = _frac(tau)
-    if t <= 1:
-        raise InputBoundsError("tau must exceed 1")
-    return (2 * t / (t - 1)) * _frac(R)
-
-
-def emerging_rank(R: RationalLike, tau_prime: RationalLike) -> Fraction:
-    """Rank tau' * R assigned to emerging walls at rank floor R."""
-    return _frac(tau_prime) * _frac(R)

@@ -1,21 +1,19 @@
 """Structural scale-up operators: one hierarchy level to the next.
 
-Exactly computable parts (compound walls, cleanness promotion, the finish
-step, emerging-wall designation) are implemented as stated.  The
-probability-conditioned designations (missing-hole traps, emerging barriers)
-split into an exact structural event plus a Monte Carlo estimate of the
-conditional probability, with Wilson confidence intervals; the exact
-conditionals are not computable at realistic scales.
+Exactly computable parts (compound walls, the finish step) are implemented
+as stated.  The probability-conditioned missing-hole trap designation splits
+into an exact structural event plus a Monte Carlo estimate of the
+conditional probability, with a Wilson confidence interval; the exact
+conditional is not computable at realistic scales.
 
 Trap rectangles are closed and written ((x0, y0), (x1, y1)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from numbers import Rational
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .engine import rect_reachable
 from .errors import InputBoundsError, UnderpoweredError
@@ -26,13 +24,7 @@ from .walls import Interval, Point, WallValue, find_dominant_walls
 
 Rect = tuple[Point, Point]
 
-#: emerging event kinds in their designation processing order
-EMERGING_PROCESS_ORDER = ("correlated-short", "missing-hole", "correlated-long")
-#: pre-wall enumeration order inside each kind
-PREWALL_ORDER = "left,size"
-
 _DOMAIN_MISSING_HOLE = 0xA1
-_DOMAIN_EMERGING = 0xA2
 
 
 def log_lam_floor(d: int) -> int:
@@ -120,31 +112,6 @@ def compound_walls(
     return out
 
 
-def promote_cleanness(
-    point: int,
-    direction: str,
-    walls_of_level: Sequence[WallValue],
-    phi,
-    level_clean: bool,
-) -> bool:
-    """One-dimensional cleanness at the next level.
-
-    A right endpoint stays clean iff it was clean and no wall in the scanned
-    interval has its right end within phi/3 of the point; a left endpoint is
-    the mirror image, measured to wall left ends.
-    """
-    if direction not in ("left", "right"):
-        raise InputBoundsError("direction must be 'left' or 'right'")
-    if not level_clean:
-        return False
-    margin = Fraction(phi) / 3
-    for w in walls_of_level:
-        dist = point - w.body.right if direction == "right" else w.body.left - point
-        if 0 <= dist < margin:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class LevelStructures:
     """Walls and traps of one level plus the structures formed during scale-up."""
@@ -152,7 +119,6 @@ class LevelStructures:
     walls: tuple[WallValue, ...]
     traps: tuple[Rect, ...] = ()
     new_compound: tuple[CompoundWall, ...] = ()
-    new_emerging: tuple[WallValue, ...] = ()
 
 
 def finish_step(structures: LevelStructures, r_star, delta) -> LevelStructures:
@@ -160,8 +126,8 @@ def finish_step(structures: LevelStructures, r_star, delta) -> LevelStructures:
 
     Traps of the old level disappear.  Light walls (rank < r_star) are
     removed; when a removed light wall was dominant, every wall contained in
-    it goes too, heavy or not.  Heavy survivors, compound walls, and emerging
-    walls form the next level's wall set; the underlying graph is unchanged.
+    it goes too, heavy or not.  Heavy survivors and compound walls form the
+    next level's wall set; the underlying graph is unchanged.
     """
     walls = structures.walls
     light = [w for w in walls if w.rank < r_star]
@@ -179,21 +145,8 @@ def finish_step(structures: LevelStructures, r_star, delta) -> LevelStructures:
     new_walls = survivors + [
         cw.as_wall_value() for cw in structures.new_compound if cw.is_wall is not False
     ]
-    new_walls += list(structures.new_emerging)
     new_walls.sort(key=lambda w: (w.body.left, w.body.size))
     return LevelStructures(walls=tuple(new_walls), traps=())
-
-
-def emerging_span(kind: str, slb, delta, gamma):
-    """Designated interval length for each emerging/correlated event kind."""
-    slb = Fraction(slb)
-    if kind == "correlated-short":
-        return 29 * delta / slb
-    if kind == "correlated-long":
-        return 9 * gamma / slb
-    if kind == "missing-hole":
-        return gamma
-    raise InputBoundsError(f"unknown event kind {kind!r}")
 
 
 def detect_missing_hole_event(
@@ -315,101 +268,3 @@ def _splice(Y: BinarySequence, positions: range, bits: int) -> BinarySequence:
         else:
             out &= ~mask
     return BinarySequence(out, len(Y))
-
-
-@dataclass(frozen=True)
-class EmergingEstimate:
-    """Best window estimate behind an emerging-barrier designation."""
-
-    interval: Interval
-    kind: str
-    best_window: Optional[Interval]
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    trials: int
-    windows_scanned: int
-    flagged: bool
-    window_order: str = field(default=PREWALL_ORDER)
-
-
-def detect_emerging_barrier(
-    x_seq: BinarySequence,
-    interval: Interval,
-    kind: str,
-    event_fn: Callable[[BinarySequence, BinarySequence, Interval, int], bool],
-    span: int,
-    delta: int,
-    w_bound: float,
-    trials: int,
-    seed: int = 0,
-    y_length: Optional[int] = None,
-) -> EmergingEstimate:
-    """Estimate whether `interval` is an emerging barrier of the given kind.
-
-    Scans closed sub-windows of length `span` starting within 2*delta of the
-    left end and ending within 2*delta of the right end; for each, estimates
-    the probability over fresh uniform Y that `event_fn(x, y, window, 1)`
-    holds.  The designation takes the window with the largest point estimate
-    and flags the barrier when that window's Wilson lower bound exceeds
-    w_bound^2 (conservative direction: only confidently non-negligible events
-    designate).
-    """
-    if trials < 100:
-        raise UnderpoweredError(f"{trials} trials; need at least 100")
-    u, v = interval.left, interval.right
-    if y_length is None:
-        y_length = 1 + 5 * delta
-    lo = max(u + 1, v - 2 * delta + 1 - span)
-    hi = min(u + 2 * delta, v - span)
-    best = None
-    scanned = 0
-    for u_prime in range(lo, hi + 1):
-        window = Interval(u_prime, u_prime + span, closed=True)
-        scanned += 1
-        successes = 0
-        for t in range(trials):
-            y = BinarySequence(
-                stream_bits(seed, (t, _DOMAIN_EMERGING, u_prime), y_length), y_length
-            )
-            if event_fn(x_seq, y, window, 1):
-                successes += 1
-        p = successes / trials
-        if best is None or p > best[0]:
-            best = (p, window, successes)
-    if best is None:
-        return EmergingEstimate(
-            interval, kind, None, 0.0, 0.0, 0.0, trials, 0, False
-        )
-    p, window, successes = best
-    ci_lo, ci_hi = wilson_interval(successes, trials)
-    return EmergingEstimate(
-        interval=interval,
-        kind=kind,
-        best_window=window,
-        p_hat=p,
-        ci_low=ci_lo,
-        ci_high=ci_hi,
-        trials=trials,
-        windows_scanned=scanned,
-        flagged=ci_lo > w_bound**2,
-    )
-
-
-def designate_emerging_walls(
-    prewalls_by_kind: Mapping[str, Sequence[WallValue]],
-) -> list[WallValue]:
-    """Designate emerging walls from pre-walls.
-
-    Kinds are processed in EMERGING_PROCESS_ORDER; inside each kind pre-walls
-    are taken by (left endpoint, size).  A pre-wall becomes a wall iff it is
-    disjoint from every wall designated before it.
-    """
-    designated: list[WallValue] = []
-    for kind in EMERGING_PROCESS_ORDER:
-        for pw in sorted(
-            prewalls_by_kind.get(kind, ()), key=lambda w: (w.body.left, w.body.size)
-        ):
-            if all(not pw.body.intersects(w.body) for w in designated):
-                designated.append(pw)
-    return designated

@@ -92,9 +92,3 @@ def load_sequence_file(path: str) -> BinarySequence:
             f"invalid byte 0x{body[off]:02x} at offset {off} in {path}", off
         )
     return BinarySequence.from_string(body.decode("ascii"))
-
-
-def save_sequence_file(path: str, seq: BinarySequence) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(seq.to_string())
-        fh.write("\n")

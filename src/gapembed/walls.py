@@ -17,10 +17,9 @@ wall starts at i", i.e. ]i, i+m] is constant, is the lookahead
 ]c, d] are read off Y's text too: the first one is ]a, a+1] at the first
 a with Y(a+1) = X(d) (see `find_fitting_hole`).
 
-Intervals follow the right-closed convention ]a, b] with a >= -1; a closed
-interval [a, b] is marked by the `closed` flag.  Containment and intersection
-use real-line semantics, so ]i, i+l] lies inside [u, v] iff u <= i and
-i+l <= v.
+Intervals follow the right-closed convention ]a, b] with a >= -1.  On
+non-empty intervals, containment and intersection are those of the integer
+points a+1..b, so ]i, i+l] lies inside ]u, v] iff u <= i and i+l <= v.
 """
 
 from __future__ import annotations
@@ -41,11 +40,10 @@ Openness = Literal["closed", "left-open", "bottom-open"]
 
 @dataclass(frozen=True)
 class Interval:
-    """Interval with endpoints on the integer grid; right-closed unless `closed`."""
+    """Right-closed interval ]left, right] with endpoints on the integer grid."""
 
     left: int
     right: int
-    closed: bool = False
 
     def __post_init__(self):
         if self.left < -1:
@@ -57,24 +55,11 @@ class Interval:
     def size(self) -> int:
         return self.right - self.left
 
-    def integers(self) -> range:
-        """Integer points of the interval."""
-        start = self.left if self.closed else self.left + 1
-        return range(start, self.right + 1)
-
     def intersects(self, other: "Interval") -> bool:
-        lo, lo_open = max(
-            (self.left, not self.closed), (other.left, not other.closed)
-        )
-        hi = min(self.right, other.right)
-        return lo < hi or (lo == hi and not lo_open)
+        return max(self.left, other.left) < min(self.right, other.right)
 
     def contains_interval(self, other: "Interval") -> bool:
-        if other.right > self.right:
-            return False
-        if self.closed or not other.closed:
-            return self.left <= other.left
-        return self.left < other.left
+        return self.left <= other.left and other.right <= self.right
 
 
 @dataclass(frozen=True)
@@ -84,11 +69,7 @@ class WallValue:
     body: Interval
     rank: Rational
     orientation: Literal["v", "h"] = "v"
-    kind: Literal["base-run", "emerging", "compound"] = "base-run"
-
-    def __post_init__(self):
-        if self.body.closed:
-            raise InputBoundsError("wall bodies are right-closed intervals")
+    kind: Literal["base-run", "compound"] = "base-run"
 
     @property
     def size(self) -> int:
@@ -105,28 +86,6 @@ class WallValue:
 
 
 @dataclass(frozen=True)
-class CleannessReport:
-    """Level-1 cleanness flags of a grid point."""
-
-    point: Point
-    lower_left_trap_clean: bool
-    upper_right_trap_clean: bool
-    x_left_clean: bool
-    x_right_clean: bool
-    y_left_clean: bool
-    y_right_clean: bool
-
-    @property
-    def one_dim_clean(self) -> bool:
-        return (
-            self.x_left_clean
-            and self.x_right_clean
-            and self.y_left_clean
-            and self.y_right_clean
-        )
-
-
-@dataclass(frozen=True)
 class Hole:
     """An interval of one sequence through which a wall of the other is crossed."""
 
@@ -134,21 +93,6 @@ class Hole:
     wall: WallValue
     entry: Point
     exit: Point
-
-
-def level1_cleanness(X: BinarySequence, Y: BinarySequence, point: Point) -> CleannessReport:
-    """Cleanness report of a point at level 1.
-
-    One-dimensional cleanness and upper-right trap-cleanness always hold;
-    lower-left trap-cleanness means the point's symbols agree.  Points on the
-    axes (coordinate 0) have no symbol and count as trap-clean.
-    """
-    i, j = point
-    if i == 0 or j == 0:
-        ll = True
-    else:
-        ll = X.symbol(i) == Y.symbol(j)
-    return CleannessReport(point, ll, True, True, True, True, True)
 
 
 _RUNS = re.compile("0+|1+")
@@ -179,11 +123,6 @@ def _wall_starts(m: int) -> re.Pattern:
     if m < 1:
         raise InputBoundsError("m must be >= 1")
     return re.compile(f"(?=0{{{m}}}|1{{{m}}})")
-
-
-def is_external(interval: Interval, walls: Sequence[WallValue]) -> bool:
-    """True iff the interval intersects no wall body."""
-    return not any(interval.intersects(w.body) for w in walls)
 
 
 def _adjacent_external(
@@ -318,7 +257,7 @@ def hop_check(
         return False
     # Inner cleanness: the lower-left corner is automatic; the upper-right
     # corner needs matching symbols (axis points have no symbol and pass).
-    return level1_cleanness(X, Y, (v0, v1)).lower_left_trap_clean
+    return v0 == 0 or v1 == 0 or X.symbol(v0) == Y.symbol(v1)
 
 
 def slope_condition(u: Point, v: Point, sigma_x, sigma_y) -> bool:
@@ -401,7 +340,7 @@ def construct_base_path(
 
 
 def find_fitting_hole(
-    wall: WallValue, start_range: Interval, X: BinarySequence, Y: BinarySequence
+    wall: WallValue, starts: range, X: BinarySequence, Y: BinarySequence
 ) -> Optional[Hole]:
     """First hole (smallest left endpoint, then smallest size) crossing a
     level-1 vertical wall, read off Y's text.
@@ -410,10 +349,10 @@ def find_fitting_hole(
     (c, a) through the wall's body ]c, d] in steps of at most 3m, with
     m = rank/2.  X is constant on the body, so the first step of any crossing
     lands on the body's symbol, and one step of size d - c < 2m spans it:
-    the first hole is ]a, a+1] for the first start a >= 0 in `start_range`
-    with Y(a+1) = X(d), or None.  A wall outside that contract (vertical,
-    base-run, body inside X and constant, m <= size < 2m) raises
-    `StructureError` naming the failing clause.
+    the first hole is ]a, a+1] for the first start a >= 0 in `starts` (a
+    range of step 1) with Y(a+1) = X(d), or None.  A wall outside that
+    contract (vertical, base-run, body inside X and constant,
+    m <= size < 2m) raises `StructureError` naming the failing clause.
     """
     c, d = wall.body.left, wall.body.right
     if wall.orientation != "v":
@@ -427,9 +366,8 @@ def find_fitting_hole(
     m = Fraction(wall.rank) / 2
     if not m <= d - c < 2 * m:
         raise StructureError(f"wall size {d - c} outside [m, 2m) for m = {m}")
-    lo = max(start_range.integers().start, 0)
     # Y(a+1) is text[a]; str.find clips an end past len(Y).
-    a = Y.text.find(X.text[d - 1], lo, start_range.right + 1)
+    a = Y.text.find(X.text[d - 1], max(starts.start, 0), max(starts.stop, 0))
     if a < 0:
         return None
     return Hole(Interval(a, a + 1), wall, (c, a), (d, a + 1))

@@ -258,6 +258,40 @@ def test_analyze_rejects_bad_delta(tmp_path, capsys, delta, via_config):
         assert run_cli(capsys, "analyze", "--x", x, "--m", "3", "--span", "--delta", ok)[0] == 0
 
 
+_SHORT_Y_WALLS = (
+    '{"meta": {"version": "0.1.0", "rng_id": "numpy-philox4x64-10"}}\n'
+    '{"orientation": "v", "left": 0, "right": 2, "rank": 4, "kind": "base-run"}\n'
+    '{"orientation": "v", "left": 2, "right": 4, "rank": 4, "kind": "base-run"}\n'
+    '{"orientation": "v", "left": 2, "right": 5, "rank": 4, "kind": "base-run"}\n'
+    '{"orientation": "v", "left": 3, "right": 5, "rank": 4, "kind": "base-run"}\n'
+    '{"orientation": "v", "left": 5, "right": 7, "rank": 4, "kind": "base-run"}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "y_text, holes",
+    [
+        ("", ""),
+        (
+            "1",
+            '{"kind": "hole", "orientation": "h", "left": 0, "right": 1, "through_left": 2, "through_right": 4}\n'
+            '{"kind": "hole", "orientation": "h", "left": 0, "right": 1, "through_left": 2, "through_right": 5}\n'
+            '{"kind": "hole", "orientation": "h", "left": 0, "right": 1, "through_left": 3, "through_right": 5}\n',
+        ),
+    ],
+    ids=["empty-y", "one-symbol-y"],
+)
+def test_analyze_holes_short_y(tmp_path, capsys, y_text, holes):
+    # The golden corpus has no Y shorter than 6 symbols; these bytes pin the
+    # hole starts 0..len(Y)-1 at its edge.  No wall of X (]0,2] is zeros, the
+    # rest ones) has a hole through an empty Y.
+    x = write_seq(tmp_path, "x.txt", "0011100")
+    y = write_seq(tmp_path, "y.txt", y_text)
+    code, out, _ = run_cli(capsys, "analyze", "--x", x, "--y", y, "--m", "2", "--holes")
+    assert code == 0
+    assert out == _SHORT_Y_WALLS + holes
+
+
 # ------------------------------------------------------------- params
 
 

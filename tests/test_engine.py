@@ -12,14 +12,13 @@ from gapembed import (
     ReachFrontier,
     brute_force_reachable,
     check_embedding,
-    compose_embeddings,
     embeddable_prefix,
     extract_embedding,
     rect_reachable,
 )
 from gapembed import engine
 from gapembed.engine import _window_or
-from gapembed.errors import CompositionError, InputBoundsError, OracleSizeError
+from gapembed.errors import InputBoundsError, OracleSizeError
 
 from conftest import binary_sequences
 
@@ -82,40 +81,6 @@ def test_check_embedding_cases():
     # non-increasing step sequences cannot even be constructed
     with pytest.raises(InputBoundsError):
         EmbeddingPath((2, 2), 3)
-
-
-def test_compose_examples():
-    identity = EmbeddingPath(tuple(range(1, 5)), 2)
-    out = compose_embeddings(identity, identity)
-    assert out.steps == identity.steps and out.gap_bound == 4
-
-    p1 = EmbeddingPath((2, 4), 2)
-    p2 = EmbeddingPath((1, 2, 4, 5), 2)
-    out = compose_embeddings(p1, p2)
-    assert out.steps == (2, 5) and out.gap_bound == 4
-
-    with pytest.raises(CompositionError):
-        compose_embeddings(EmbeddingPath((1, 2, 3), 2), EmbeddingPath((2, 4), 2))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_compose_random_triples(data):
-    # Feasible Z->X then Y->Z paths compose to a valid Y->X path at bound m*m.
-    rng = random.Random(data.draw(st.integers(0, 10**9)))
-    m = data.draw(st.integers(1, 3))
-    X = BinarySequence(rng.getrandbits(18), 18)
-    Z = BinarySequence(rng.getrandbits(9), 9)
-    p2 = extract_embedding(X, Z, m)
-    if p2 is None:
-        return
-    Y = BinarySequence(rng.getrandbits(4), 4)
-    p1 = extract_embedding(Z, Y, m)
-    if p1 is None:
-        return
-    composed = compose_embeddings(p1, p2)
-    assert composed.gap_bound == m * m
-    assert check_embedding(X, Y, composed)
 
 
 def test_brute_force_examples_and_guard():

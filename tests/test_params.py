@@ -10,11 +10,7 @@ from gapembed import (
     DEFAULT_EXPONENTS,
     ExponentTuple,
     base_params,
-    emerging_rank,
-    hole_prob,
-    level_params,
     level_table,
-    rank_bound,
     rank_prob,
     verify_exponents,
 )
@@ -55,7 +51,7 @@ def test_report_json_schema():
 
 def test_level_one_is_base():
     base = base_params(10)
-    assert level_params(DEFAULT_EXPONENTS, base, 1) == base
+    assert level_table(DEFAULT_EXPONENTS, base, 1)[-1][0] == base
     assert base.R == 20 and base.slb == F(1, 20)
     assert base.sigma_x == 0.05 and base.sigma_y == 10.0
     assert base.q_tri == 0.0 and base.q_inv == 0.5 and base.w == 0.0
@@ -63,7 +59,7 @@ def test_level_one_is_base():
 
 
 def test_level_two_rank():
-    p2 = level_params(DEFAULT_EXPONENTS, base_params(10), 2)
+    p2 = level_table(DEFAULT_EXPONENTS, base_params(10), 2)[-1][0]
     assert p2.R == F(35)
     assert p2.level == 2
 
@@ -71,13 +67,13 @@ def test_level_two_rank():
 def test_rank_closed_form():
     base = base_params(6)
     for k in range(1, 9):
-        pk = level_params(DEFAULT_EXPONENTS, base, k)
+        pk = level_table(DEFAULT_EXPONENTS, base, k)[-1][0]
         assert pk.R == F(12) * F(7, 4) ** (k - 1)
 
 
 def test_exponent_space_identities():
     # gamma-spacing makes Delta/Gamma == (Gamma/Phi)^(1/2) exact in exponents.
-    p = level_params(DEFAULT_EXPONENTS, base_params(8), 5)
+    p = level_table(DEFAULT_EXPONENTS, base_params(8), 5)[-1][0]
     lhs = p.log_Delta - p.log_Gamma
     rhs = (p.log_Gamma - p.log_Phi) / 2
     assert lhs == rhs
@@ -88,7 +84,7 @@ def test_exponent_space_identities():
 def test_infeasible_tuple_propagates():
     bad = replace(DEFAULT_EXPONENTS, tau=F(2))
     with pytest.raises(InputBoundsError, match="tau-range"):
-        level_params(bad, base_params(4), 3)
+        level_table(bad, base_params(4), 3)
 
 
 def test_level_table_and_horizon_m10():
@@ -111,7 +107,7 @@ def test_level_table_and_horizon_m10():
 
 def test_large_scale_exponents_stay_exact():
     # w underflows any float at deep levels; the log representation does not.
-    p = level_params(DEFAULT_EXPONENTS, base_params(10), 9)
+    p = level_table(DEFAULT_EXPONENTS, base_params(10), 9)[-1][0]
     assert p.w == 0.0  # underflow in the float view
     assert p.w_log is not None and p.w_log < -4000  # exact in exponent space
 
@@ -134,22 +130,6 @@ def test_rank_prob_ratio_identity():
         ratio = rank_prob(r) / rank_prob(r + 2)
         assert ratio == pytest.approx(((r + 2) / r) ** 2 * 2.0, rel=1e-9)
         assert ratio > 1
-
-
-def test_hole_prob_log_linear():
-    chi = F(3, 200)
-    for r1, r2 in ((10, 30), (12, 50)):
-        diff = math.log(hole_prob(r2, chi)) - math.log(hole_prob(r1, chi))
-        assert diff == pytest.approx(-float(chi) * (r2 - r1) * math.log(2 ** 0.5), rel=1e-9)
-    values = [hole_prob(r) for r in range(8, 60)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_rank_bounds():
-    assert rank_bound(20, F(7, 4)) == F(2 * F(7, 4) / (F(7, 4) - 1)) * 20 == F(280, 3)
-    assert emerging_rank(20, F(5, 2)) == 50
-    with pytest.raises(InputBoundsError):
-        rank_bound(20, 1)
 
 
 # ------------------------------------------------------------- exact compare

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -7,20 +6,16 @@ from hypothesis import strategies as st
 
 from gapembed import (
     BinarySequence,
-    CompoundWall,
     Interval,
     LevelStructures,
     WallValue,
     compound_walls,
-    designate_emerging_walls,
-    detect_emerging_barrier,
     detect_missing_hole_event,
     estimate_missing_hole_trap,
     finish_step,
-    promote_cleanness,
 )
 from gapembed.errors import UnderpoweredError
-from gapembed.renorm import emerging_span, log_lam_floor
+from gapembed.renorm import log_lam_floor
 
 
 def wall(left, right, rank, orientation="v", kind="base-run"):
@@ -95,45 +90,6 @@ def test_compound_rank_window(data):
         assert 0 <= cw.distance <= phi
 
 
-# ------------------------------------------------------------- cleanness
-
-
-def test_promote_cleanness_cases():
-    assert promote_cleanness(30, "right", [], 9, True)
-    assert not promote_cleanness(30, "right", [], 9, False)
-    # wall end at distance phi/4 < phi/3 blocks
-    blocker = wall(20, 28, 10)
-    assert not promote_cleanness(30, "right", [blocker], 8, True)
-    # distance exactly phi/3 is allowed ("closer than" is strict)
-    assert promote_cleanness(31, "right", [blocker], 9, True)
-    # left endpoints measure to wall left ends
-    assert not promote_cleanness(19, "left", [blocker], 9, True)
-    assert promote_cleanness(17, "left", [blocker], 9, True)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_promote_cleanness_matches_definition(data):
-    rng = random.Random(data.draw(st.integers(0, 10**9)))
-    phi = data.draw(st.integers(1, 30))
-    point = data.draw(st.integers(0, 60))
-    direction = data.draw(st.sampled_from(["left", "right"]))
-    layout = []
-    cursor = 0
-    for _ in range(data.draw(st.integers(0, 5))):
-        cursor += rng.randint(0, 10)
-        size = rng.randint(1, 6)
-        layout.append(wall(cursor, cursor + size, 10))
-        cursor += size
-    got = promote_cleanness(point, direction, layout, phi, True)
-    # definitional re-evaluation: some wall end within the strict margin
-    if direction == "right":
-        blocked = any(0 <= point - w.body.right < F(phi, 3) for w in layout)
-    else:
-        blocked = any(0 <= w.body.left - point < F(phi, 3) for w in layout)
-    assert got == (not blocked)
-
-
 # ------------------------------------------------------------- finish
 
 
@@ -180,13 +136,10 @@ def test_finish_rank_floor(data):
         size = rng.randint(2, 4)
         walls.append(wall(cursor, cursor + size, rng.randint(10, 40)))
         cursor += size
-    emerging = (
-        wall(cursor + 5, cursor + 9, 50, kind="emerging"),
-    )
     cw = compound_walls(walls, phi=64, r_star=r_star)
     cw = [c for c in cw if c.rank >= r_star]  # mirror a valid parameter regime
     out = finish_step(
-        LevelStructures(walls=tuple(walls), new_compound=tuple(cw), new_emerging=emerging),
+        LevelStructures(walls=tuple(walls), new_compound=tuple(cw)),
         r_star=r_star,
         delta=3,
     )
@@ -196,18 +149,12 @@ def test_finish_rank_floor(data):
 # ------------------------------------------------------------- events
 
 
-def test_emerging_span_values():
-    assert emerging_span("correlated-short", F(1, 8), 2, 100) == 29 * 8 * 2
-    assert emerging_span("correlated-long", F(1, 8), 2, 100) == 9 * 8 * 100
-    assert emerging_span("missing-hole", F(1, 8), 2, 100) == 100
-
-
 def _mh_setup(y_text):
-    # region I = [0, 12], b = 0, delta = 2, m = 2: candidate wall bodies start
+    # region I = ]0, 12], b = 0, delta = 2, m = 2: candidate wall bodies start
     # at 2 inside the window [0, 6].
     X = BinarySequence.from_string("0110100110110")
     Y = BinarySequence.from_string(y_text)
-    return X, Y, Interval(0, 12, closed=True), 0, 2, 2
+    return X, Y, Interval(0, 12), 0, 2, 2
 
 
 def test_missing_hole_no_wall():
@@ -226,7 +173,7 @@ def test_missing_hole_wall_without_hole():
     # the margin-admissible zone no good hole crosses two rows of zeros.
     X = BinarySequence.from_string("1111111111111")
     Y = BinarySequence.from_string("0000010")
-    region = Interval(0, 12, closed=True)
+    region = Interval(0, 12)
     assert detect_missing_hole_event(X, Y, region, 0, 2, 2)
 
 
@@ -281,43 +228,3 @@ def test_estimator_never_flags_at_w_zero():
     X = BinarySequence.from_string("1111111111111")
     est = estimate_missing_hole_trap(X, Y, region, b, delta, m, w_bound=0.0, trials=100, seed=1)
     assert est.event_holds and not est.trap_estimated
-
-
-# ------------------------------------------------------------- emerging
-
-
-def test_emerging_estimator_smoke():
-    X = BinarySequence.from_string("01100110")
-    interval = Interval(0, 8)
-
-    def coin_event(x_seq, y_seq, window, b):
-        return bool(y_seq.bits & 1)  # probability 1/2
-
-    est = detect_emerging_barrier(
-        X, interval, "missing-hole", coin_event, span=6, delta=1, w_bound=0.1,
-        trials=400, seed=9, y_length=6,
-    )
-    assert est.windows_scanned == 2  # windows [1,7] and [2,8]
-    assert 0.35 <= est.p_hat <= 0.65
-    assert est.flagged  # ci_low > 0.01
-    est_never = detect_emerging_barrier(
-        X, interval, "missing-hole", lambda *a: False, span=6, delta=1,
-        w_bound=0.1, trials=400, seed=9, y_length=6,
-    )
-    assert est_never.p_hat == 0.0 and not est_never.flagged
-
-
-def test_emerging_designation_order():
-    short1 = wall(0, 5, 50, kind="emerging")
-    short2 = wall(3, 8, 50, kind="emerging")  # overlaps short1
-    lhole = wall(10, 15, 50, kind="emerging")
-    long1 = wall(12, 20, 50, kind="emerging")  # overlaps the missing-hole one
-    long2 = wall(30, 40, 50, kind="emerging")
-    out = designate_emerging_walls(
-        {
-            "correlated-short": [short2, short1],  # unsorted on purpose
-            "missing-hole": [lhole],
-            "correlated-long": [long1, long2],
-        }
-    )
-    assert out == [short1, lhole, long2]

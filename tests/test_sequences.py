@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapembed import BinarySequence, load_sequence_file, save_sequence_file
+from gapembed import BinarySequence, load_sequence_file
 from gapembed.errors import InputBoundsError, SequenceFormatError
 
 from conftest import binary_sequences
@@ -87,7 +87,7 @@ def test_file_loader_rejects_with_offset(tmp_path):
 def test_save_load_round_trip(tmp_path):
     p = tmp_path / "seq.txt"
     s = BinarySequence.from_string("110010")
-    save_sequence_file(str(p), s)
+    p.write_text(s.to_string() + "\n", encoding="ascii")
     assert load_sequence_file(str(p)) == s
 
 

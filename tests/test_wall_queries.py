@@ -68,7 +68,7 @@ def spanning_sequence_oracle(interval, walls, seq, m):
 
 def find_fitting_hole_oracle(
     wall: WallValue,
-    start_range: Interval,
+    starts: range,
     X: BinarySequence,
     Y: BinarySequence,
     slb,
@@ -90,7 +90,7 @@ def find_fitting_hole_oracle(
     body = wall.body
     max_size = int(Fraction(body.size) / slb)
     through_len = len(Y) if wall.orientation == "v" else len(X)
-    for a in start_range.integers():
+    for a in starts:
         if a < 0:
             continue
         for s in range(1, max_size + 1):
@@ -218,11 +218,10 @@ def test_closed_form_hole_matches_search(data):
     X = BinarySequence.from_string(prefix + sym * size + suffix)
     wall = WallValue(Interval(len(prefix), len(prefix) + size), 2 * m)
     Y = data.draw(binary_sequences(max_length=30))
-    left = data.draw(st.integers(-1, len(Y) + 2))
-    right = data.draw(st.integers(left, len(Y) + 3))
-    start_range = Interval(left, right, closed=data.draw(st.booleans()))
-    got = find_fitting_hole(wall, start_range, X, Y)
-    assert got == find_fitting_hole_oracle(wall, start_range, X, Y, Fraction(1, 2 * m))
+    start = data.draw(st.integers(-1, len(Y) + 2))
+    starts = range(start, data.draw(st.integers(start, len(Y) + 4)))
+    got = find_fitting_hole(wall, starts, X, Y)
+    assert got == find_fitting_hole_oracle(wall, starts, X, Y, Fraction(1, 2 * m))
     if got is not None:
         assert got.interval.size == 1
         assert Y.symbol(got.interval.right) == X.symbol(wall.body.right)
@@ -245,4 +244,4 @@ def test_hole_wall_contract(wall, clause):
     X = BinarySequence.from_string("0011111110")
     Y = BinarySequence.from_string("0101")
     with pytest.raises(StructureError, match=clause):
-        find_fitting_hole(wall, Interval(0, 3, closed=True), X, Y)
+        find_fitting_hole(wall, range(0, 4), X, Y)

@@ -14,8 +14,6 @@ from gapembed import (
     find_fitting_hole,
     find_walls,
     hop_check,
-    is_external,
-    level1_cleanness,
     rect_reachable,
     slope_condition,
     spanning_sequence,
@@ -23,6 +21,26 @@ from gapembed import (
 from gapembed.errors import StructureError
 
 from conftest import binary_sequences, run_capped_sequence
+
+
+# ------------------------------------------------------------- intervals
+
+
+def _points(interval):
+    return set(range(interval.left + 1, interval.right + 1))
+
+
+_nonempty_intervals = st.integers(-1, 12).flatmap(
+    lambda left: st.builds(Interval, st.just(left), st.integers(left + 1, 14))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nonempty_intervals, _nonempty_intervals)
+def test_interval_relations_are_integer_point_relations(a, b):
+    # ]left, right] holds the integer points left+1..right.
+    assert a.intersects(b) == bool(_points(a) & _points(b))
+    assert a.contains_interval(b) == (_points(b) <= _points(a))
 
 
 # ------------------------------------------------------------- walls
@@ -50,13 +68,6 @@ def test_find_walls_matches_direct_enumeration(seq, m):
     got = [(w.body.left, w.body.right) for w in find_walls(seq, m)]
     assert sorted(got) == sorted(expected)
     assert got == sorted(got, key=lambda b: (b[0], b[1] - b[0]))
-
-
-def test_is_external():
-    walls = find_walls(BinarySequence.from_string("0000"), 2)
-    assert is_external(Interval(4, 8), walls)
-    assert not is_external(Interval(3, 5), walls)
-    assert is_external(Interval(0, 9), [])
 
 
 def test_dominant_isolated_run():
@@ -147,17 +158,6 @@ def test_spanning_properties(data):
 # ------------------------------------------------------------- hops, cleanness
 
 
-def test_level1_cleanness():
-    X = BinarySequence.from_string("10")
-    Y = BinarySequence.from_string("01")
-    rep = level1_cleanness(X, Y, (1, 2))
-    assert rep.lower_left_trap_clean and rep.upper_right_trap_clean
-    assert rep.one_dim_clean
-    rep = level1_cleanness(X, Y, (1, 1))
-    assert not rep.lower_left_trap_clean
-    assert level1_cleanness(X, Y, (0, 0)).lower_left_trap_clean
-
-
 def test_hop_check_empty_rect():
     X = BinarySequence.from_string("0000")
     Y = BinarySequence.from_string("1111")
@@ -184,7 +184,7 @@ def _hop_oracle(rect, X, Y, m):
     for w in find_walls(Y, m):
         if u1 <= w.body.left and w.body.right <= v1:
             return False
-    return level1_cleanness(X, Y, (v0, v1)).lower_left_trap_clean
+    return v0 == 0 or v1 == 0 or X.symbol(v0) == Y.symbol(v1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -337,13 +337,13 @@ def test_fitting_hole_single_row():
     X = BinarySequence.from_string("00" + "1" * m + "00")
     wall = WallValue(Interval(2, 2 + m), 2 * m, "v")
     Y_hit = BinarySequence.from_string("0010")
-    hole = find_fitting_hole(wall, Interval(1, 2, closed=True), X, Y_hit)
+    hole = find_fitting_hole(wall, range(1, 3), X, Y_hit)
     assert hole is not None
     assert (hole.interval.left, hole.interval.right) == (2, 3)
     assert hole.entry == (2, 2) and hole.exit == (2 + m, 3)
     Y_miss = BinarySequence.from_string("0000")
     assert (
-        find_fitting_hole(wall, Interval(1, 2, closed=True), X, Y_miss)
+        find_fitting_hole(wall, range(1, 3), X, Y_miss)
         is None
     )
 
@@ -358,7 +358,7 @@ def test_fitting_hole_reverifies(data):
     X = BinarySequence.from_string(("01" if sym else "10") + run + "0101")
     wall = WallValue(Interval(2, 2 + m), 2 * m, "v")
     Y = BinarySequence(rng.getrandbits(12), 12)
-    hole = find_fitting_hole(wall, Interval(0, 5, closed=True), X, Y)
+    hole = find_fitting_hole(wall, range(0, 6), X, Y)
     if hole is None:
         return
     assert hole.interval.size <= 2 * m * wall.size
