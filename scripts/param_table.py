@@ -10,7 +10,7 @@ stay meaningful at every level even where floats overflow or underflow.
 import argparse
 import sys
 
-from gapembed import DEFAULT_EXPONENTS, base_params, level_table
+from gapembed import base_params, level_table
 from gapembed.errors import GapembedError
 from gapembed.params import feasibility_horizon, report_float
 
@@ -22,7 +22,7 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
-        rows = level_table(DEFAULT_EXPONENTS, base_params(args.m), args.levels)
+        rows = level_table(base_params(args.m), args.levels)
     except GapembedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ bare integer, as in `gapembed simulate`.  Typical run:
 import argparse
 import sys
 
-from gapembed import __version__
 from gapembed.cli import _parse_range, _positive_int
 from gapembed.errors import GapembedError
 from gapembed.experiments import rows_to_csv, sweep
@@ -39,7 +38,7 @@ def main() -> int:
     except GapembedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = rows_to_csv(rows, version=__version__)
+    text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -43,7 +43,6 @@ from .renorm import (
 )
 from .sequences import BinarySequence, load_sequence_file
 from .walls import (
-    Hole,
     Interval,
     WallValue,
     construct_base_path,

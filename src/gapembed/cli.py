@@ -229,17 +229,22 @@ def cmd_analyze(args) -> int:
         for w in find_walls(Y, m, "h"):
             out.append(json.dumps(w.to_json()))
     if args.holes:
-        starts = range(len(Y))
+        # A wall's first hole depends only on the wall's symbol: search once
+        # per symbol and reuse the interval for every later wall.
+        holes = {}
         for w in x_walls:
-            hole = find_fitting_hole(w, starts, X, Y)
+            symbol = X.text[w.body.left]
+            if symbol not in holes:
+                holes[symbol] = find_fitting_hole(w, range(len(Y)), X, Y)
+            hole = holes[symbol]
             if hole is not None:
                 out.append(
                     json.dumps(
                         {
                             "kind": "hole",
                             "orientation": "h",
-                            "left": hole.interval.left,
-                            "right": hole.interval.right,
+                            "left": hole.left,
+                            "right": hole.right,
                             "through_left": w.body.left,
                             "through_right": w.body.right,
                         }
@@ -262,12 +267,10 @@ def _span_records(X, walls, m, delta):
             clusters.append([w.body.left, w.body.right])
         else:
             clusters[-1][1] = max(clusters[-1][1], w.body.right)
+    # A cluster starts and ends with a wall of size >= m, hence with a size-m
+    # wall: the precondition of spanning_sequence, which therefore never raises.
     for left, right in clusters:
-        try:
-            span = spanning_sequence(Interval(left, right), X, m)
-        except GapembedError as exc:
-            yield {"kind": "span-error", "left": left, "right": right, "error": str(exc)}
-            continue
+        span = spanning_sequence(Interval(left, right), X, m)
         yield {
             "kind": "span",
             "left": left,
@@ -287,22 +290,18 @@ def cmd_params(args) -> int:
     lines = [f"# gapembed {__version__} params m={args.m} levels={args.levels}"]
     lines.append(PARAMS_CSV_HEADER)
     if report.passed:
-        base = base_params(args.m, exponents)
-        for p, _facts in level_table(exponents, base, args.levels):
+        for p, _facts in level_table(base_params(args.m, exponents), args.levels):
             lines.append(
                 f"{p.level},{report_float(p.R)!r},{p.T!r},{p.Delta!r},{p.Gamma!r},"
                 f"{p.Phi!r},{p.Psi!r},{p.w!r},{p.q_tri!r},{p.q_inv!r},"
                 f"{p.sigma_x!r},{p.sigma_y!r}"
             )
     _write_out(args.out, "\n".join(lines) + "\n")
-    report_text = json.dumps(report.to_json())
-    if args.report and args.report != "-":
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report_text + "\n")
-    else:
-        if args.out in (None, "-"):
-            print()  # blank line between the CSV block and the JSON report
-        print(report_text)
+    report_text = json.dumps(report.to_json()) + "\n"
+    report_path = args.report or None  # --report= also means stdout
+    if report_path in (None, "-") and args.out in (None, "-"):
+        report_text = "\n" + report_text  # blank line between CSV and report
+    _write_out(report_path, report_text)
     return 0 if report.passed else 1
 
 
@@ -326,7 +325,7 @@ def cmd_simulate(args) -> int:
             lines += [json.dumps(row.to_json()) for row in rows]
             text = "\n".join(lines) + "\n"
         else:
-            text = rows_to_csv(rows, version=__version__)
+            text = rows_to_csv(rows)
     _write_out(args.out, text)
     return 0
 

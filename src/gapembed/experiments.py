@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .engine import embeddable_lanes
 from .engine import embeddable_prefix  # looked up by name in bench/tracer.py
 from .errors import InputBoundsError, UnderpoweredError
@@ -231,11 +232,11 @@ def sweep(
     return [estimate_embed_prob(plan) for plan in plans]
 
 
-def rows_to_csv(rows: Sequence[EstimateRow], version: str) -> str:
-    """Render rows under a version line and the fixed header; byte-stable for
-    identical inputs."""
+def rows_to_csv(rows: Sequence[EstimateRow]) -> str:
+    """Render rows under a line naming the package version and RNG, then the
+    fixed header; byte-stable for identical inputs."""
     buf = io.StringIO()
-    buf.write(f"# gapembed {version} rng_id={RNG_ID}\n")
+    buf.write(f"# gapembed {__version__} rng_id={RNG_ID}\n")
     buf.write(CSV_HEADER + "\n")
     for row in rows:
         buf.write(row.csv_line() + "\n")
@@ -280,7 +281,11 @@ def wall_frequency_check(
 
     The event is that l fresh fair bits are constant, the same predicate
     `find_walls` applies to a run at a fixed body (cross-checked in tests);
-    vectorized here because sample counts reach 10^6.
+    vectorized here because sample counts reach 10^6.  The bits come from
+    the raw words of the stream (0, m, l), a bit-generator output that does
+    not depend on numpy's samplers: for l <= 32, sample i is the top l bits
+    of 32-bit half i (low half of each word first); for l > 32, the top l
+    bits of word i.
     """
     if not m <= l < 2 * m:
         raise InputBoundsError("wall size must satisfy m <= l < 2m")
@@ -290,10 +295,14 @@ def wall_frequency_check(
         raise UnderpoweredError("need at least one sample")
     if samples > _MAX_LENGTH:
         raise InputBoundsError(f"samples must be at most {_MAX_LENGTH}")
-    words = np.random.Generator(philox(seed, (0, m, l))).integers(
-        0, 1 << l, size=samples, dtype=np.uint64
-    )
-    occurrences = int(((words == 0) | (words == (1 << l) - 1)).sum())
+    if l <= 32:
+        words = philox(seed, (0, m, l)).random_raw(-(-samples // 2))
+        draws = words.astype("<u8", copy=False).view("<u4")[:samples]
+        draws >>= np.uint32(32 - l)
+    else:
+        draws = philox(seed, (0, m, l)).random_raw(samples)
+        draws >>= np.uint64(64 - l)
+    occurrences = int(np.count_nonzero(draws == 0) + np.count_nonzero(draws == (1 << l) - 1))
     rate = occurrences / samples
     p_counted = 2.0 ** (1 - l)
     p_nominal = 2.0 ** (-l)

@@ -135,7 +135,6 @@ class ConstraintCheck:
     """Outcome of one named feasibility constraint."""
 
     name: str
-    relation: str
     lhs: object
     rhs: object
     ok: bool
@@ -187,81 +186,41 @@ def verify_exponents(e: ExponentTuple) -> ExponentReport:
     t, tp, w, x = e.tau, e.tau_prime, e.omega, e.chi
     tb = e.tau_bar
     checks = [
+        ConstraintCheck("tau-range", float(t), [1.0, 2.0], 1 < t < 2),
+        ConstraintCheck("tau-prime-range", float(tp), [float(t), float(t * t)], t < tp < t * t),
         ConstraintCheck(
-            "tau-range", "1 < tau < 2", float(t), [1.0, 2.0], 1 < t < 2
+            "exponent-order", [float(d), float(g), float(f)], [0.0, 1.0], 0 < d < g < f < 1
+        ),
+        ConstraintCheck("tau-phi-cap", float(t), float(2 - f), t <= 2 - f),
+        ConstraintCheck("phi-below-tau-delta", float(f), float(t * d), f < t * d),
+        ConstraintCheck(
+            "gamma-spacing", float(2 * (g - d)), float(f - g), 2 * (g - d) == f - g
         ),
         ConstraintCheck(
-            "tau-prime-range",
-            "tau < tau' < tau^2",
-            float(tp),
-            [float(t), float(t * t)],
-            t < tp < t * t,
-        ),
-        ConstraintCheck(
-            "exponent-order",
-            "0 < delta < gamma < phi < 1",
-            [float(d), float(g), float(f)],
-            [0.0, 1.0],
-            0 < d < g < f < 1,
-        ),
-        ConstraintCheck(
-            "tau-phi-cap", "tau <= 2 - phi", float(t), float(2 - f), t <= 2 - f
-        ),
-        ConstraintCheck(
-            "phi-below-tau-delta", "phi < tau*delta", float(f), float(t * d), f < t * d
-        ),
-        ConstraintCheck(
-            "gamma-spacing",
-            "2*(gamma - delta) == phi - gamma",
-            float(2 * (g - d)),
-            float(f - g),
-            2 * (g - d) == f - g,
-        ),
-        ConstraintCheck(
-            "omega-trap-floor",
-            "2*gamma - tau*delta + 1 < omega",
-            float(2 * g - t * d + 1),
-            float(w),
-            2 * g - t * d + 1 < w,
+            "omega-trap-floor", float(2 * g - t * d + 1), float(w), 2 * g - t * d + 1 < w
         ),
         ConstraintCheck(
             "omega-correlated-floor",
-            "4*(gamma + delta) < omega*(4 - tau)",
             float(4 * (g + d)),
             float(w * (4 - t)),
             4 * (g + d) < w * (4 - t),
         ),
         ConstraintCheck(
             "omega-emerging-floor",
-            "4*gamma + 6*delta + tau' < 2*omega",
             float(4 * g + 6 * d + tp),
             float(2 * w),
             4 * g + 6 * d + tp < 2 * w,
         ),
-        ConstraintCheck(
-            "tau-prime-floor",
-            "tau*(delta + 1) < tau'",
-            float(t * (d + 1)),
-            float(tp),
-            t * (d + 1) < tp,
-        ),
-        ConstraintCheck(
-            "chi-gap-cap",
-            "tau*chi < gamma - delta",
-            float(t * x),
-            float(g - d),
-            t * x < g - d,
-        ),
+        ConstraintCheck("tau-prime-floor", float(t * (d + 1)), float(tp), t * (d + 1) < tp),
+        ConstraintCheck("chi-gap-cap", float(t * x), float(g - d), t * x < g - d),
         ConstraintCheck(
             "chi-delta-cap",
-            "tau_bar*chi < 1 - tau*delta",
             None if tb is None else float(tb * x),
             float(1 - t * d),
             tb is not None and tb * x < 1 - t * d,
         ),
         ConstraintCheck(
             "chi-omega-cap",
-            "tau_bar*chi < omega - 2*tau*delta",
             None if tb is None else float(tb * x),
             float(w - 2 * t * d),
             tb is not None and tb * x < w - 2 * t * d,
@@ -290,11 +249,7 @@ class LevelParams:
     q_inv: float
     w_log: Optional[Fraction]
 
-    # Exact base-lam logarithms of the derived scales.
-    @property
-    def log_T(self) -> Fraction:
-        return self.R
-
+    # Exact base-lam logarithms of the derived scales; that of T is R.
     @property
     def log_Delta(self) -> Fraction:
         return self.exponents.delta * self.R
@@ -313,7 +268,7 @@ class LevelParams:
 
     @property
     def T(self) -> float:
-        return lam_pow(self.log_T)
+        return lam_pow(self.R)
 
     @property
     def Delta(self) -> float:
@@ -401,22 +356,22 @@ class LevelFacts:
     slope_violations: tuple[str, ...]
 
 
-def level_table(
-    exponents: ExponentTuple, base: LevelParams, k_max: int
-) -> list[tuple[LevelParams, LevelFacts]]:
+def level_table(base: LevelParams, k_max: int) -> list[tuple[LevelParams, LevelFacts]]:
     """k_max levels with their stepping facts: `base`, then one step per
-    row (levels 1..k_max from a level-1 base).
+    row (levels 1..k_max from a level-1 base), under `base.exponents`,
+    which must pass `verify_exponents`.
 
     delta_ratio compares Delta_k / Delta_{k+1} = lam^(delta*R_k*(1 - tau))
     against slb^2/2 exactly in exponent space.
     """
+    exponents = base.exponents
     report = verify_exponents(exponents)
     if not report.passed:
         raise InputBoundsError(
             "exponent tuple infeasible: " + ", ".join(report.violations)
         )
     rows = []
-    params = replace(base, exponents=exponents)
+    params = base
     for _ in range(k_max):
         ratio_log = exponents.delta * params.R * (1 - exponents.tau)
         facts = LevelFacts(

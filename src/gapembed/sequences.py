@@ -68,11 +68,8 @@ class BinarySequence:
         """The symbols as '0'/'1' characters: text[i - 1] is X(i)."""
         return format(self.bits, f"0{self.length}b")[::-1] if self.length else ""
 
-    def to_string(self) -> str:
-        return self.text
-
     def __repr__(self) -> str:  # keep short for test failure output
-        s = self.to_string()
+        s = self.text
         return f"BinarySequence({s if len(s) <= 40 else s[:37] + '...'})"
 
 

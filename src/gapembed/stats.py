@@ -8,8 +8,8 @@ import math
 Z95 = 1.96
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (z = `Z95`) for a binomial proportion.
 
     Preferred over the Wald interval for stability near p = 0 or 1.
     """
@@ -17,6 +17,7 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes outside 0..trials")
+    z = Z95
     p = successes / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

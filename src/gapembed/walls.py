@@ -14,8 +14,9 @@ Every wall question is answered from the sequence text (`BinarySequence.text`)
 in linear time: walls are read off the maximal runs `0+|1+`, and "a size-m
 wall starts at i", i.e. ]i, i+m] is constant, is the lookahead
 `(?=0{m}|1{m})` matching at text offset i.  Holes through a vertical wall
-]c, d] are read off Y's text too: the first one is ]a, a+1] at the first
-a with Y(a+1) = X(d) (see `find_fitting_hole`).
+]c, d] are read off Y's text too: the first one is the interval ]a, a+1]
+at the first a with Y(a+1) = X(d), crossed from (c, a) to (d, a+1), so it
+depends on the wall only through the symbol X(d) (see `find_fitting_hole`).
 
 Intervals follow the right-closed convention ]a, b] with a >= -1.  On
 non-empty intervals, containment and intersection are those of the integer
@@ -83,16 +84,6 @@ class WallValue:
             "rank": self.rank if isinstance(self.rank, int) else float(self.rank),
             "kind": self.kind,
         }
-
-
-@dataclass(frozen=True)
-class Hole:
-    """An interval of one sequence through which a wall of the other is crossed."""
-
-    interval: Interval
-    wall: WallValue
-    entry: Point
-    exit: Point
 
 
 _RUNS = re.compile("0+|1+")
@@ -183,12 +174,7 @@ def find_dominant_walls(
     return dominant
 
 
-def spanning_sequence(
-    interval: Interval,
-    seq: BinarySequence,
-    m: int,
-    orientation: Literal["v", "h"] = "v",
-) -> list[WallValue]:
+def spanning_sequence(interval: Interval, seq: BinarySequence, m: int) -> list[WallValue]:
     """Cover `interval` by disjoint size-m walls of `seq` separated by hops.
 
     Requires the interval to begin and end with a size-m wall (the shape an
@@ -197,7 +183,7 @@ def spanning_sequence(
     closest size-m wall that stays disjoint from its predecessor and at
     distance >= m from the right end, then closes with the wall at the right
     end.  Gaps between consecutive chosen walls contain no wall.  The walls
-    are found by scanning the sequence text; `orientation` labels them.
+    are found by scanning the sequence text and come out vertical.
     """
     A, B = interval.left, interval.right
     if interval.size < m:
@@ -212,16 +198,16 @@ def spanning_sequence(
     if interval.size < 2 * m:
         if not seq.constant_on(A, B):
             raise StructureError(f"short interval {interval} is not itself a wall")
-        return [WallValue(Interval(A, B), 2 * m, orientation)]
+        return [WallValue(Interval(A, B), 2 * m)]
 
-    chosen = [WallValue(Interval(A, A + m), 2 * m, orientation)]
+    chosen = [WallValue(Interval(A, A + m), 2 * m)]
     # The next wall ]t, t+m] must end by B - m: search with endpos B - m.
     nxt = starts.search(text, A + m, B - m)
     while nxt is not None:
         t = nxt.start()
-        chosen.append(WallValue(Interval(t, t + m), 2 * m, orientation))
+        chosen.append(WallValue(Interval(t, t + m), 2 * m))
         nxt = starts.search(text, t + m, B - m)
-    chosen.append(WallValue(Interval(B - m, B), 2 * m, orientation))
+    chosen.append(WallValue(Interval(B - m, B), 2 * m))
     return chosen
 
 
@@ -341,16 +327,17 @@ def construct_base_path(
 
 def find_fitting_hole(
     wall: WallValue, starts: range, X: BinarySequence, Y: BinarySequence
-) -> Optional[Hole]:
-    """First hole (smallest left endpoint, then smallest size) crossing a
-    level-1 vertical wall, read off Y's text.
+) -> Optional[Interval]:
+    """The first hole (smallest left endpoint, then smallest size) crossing a
+    level-1 vertical wall, read off Y's text, as an interval of Y.
 
     A hole is an interval ]a, a+s] of Y such that (d, a+s) is reachable from
     (c, a) through the wall's body ]c, d] in steps of at most 3m, with
     m = rank/2.  X is constant on the body, so the first step of any crossing
     lands on the body's symbol, and one step of size d - c < 2m spans it:
     the first hole is ]a, a+1] for the first start a >= 0 in `starts` (a
-    range of step 1) with Y(a+1) = X(d), or None.  A wall outside that
+    range of step 1) with Y(a+1) = X(d), entered at (c, a) and left at
+    (d, a+1).  Returns that interval, or None.  A wall outside that
     contract (vertical, base-run, body inside X and constant,
     m <= size < 2m) raises `StructureError` naming the failing clause.
     """
@@ -370,4 +357,4 @@ def find_fitting_hole(
     a = Y.text.find(X.text[d - 1], max(starts.start, 0), max(starts.stop, 0))
     if a < 0:
         return None
-    return Hole(Interval(a, a + 1), wall, (c, a), (d, a + 1))
+    return Interval(a, a + 1)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from gapembed import cli, engine
 from gapembed.cli import main
 from gapembed.experiments import CSV_HEADER
 from gapembed.params import DEFAULT_EXPONENTS
+from gapembed.walls import find_fitting_hole
 
 DATA = Path(__file__).parent / "data"
 
@@ -646,6 +648,58 @@ def test_hole_paths_run_no_dp(tmp_path, capsys, monkeypatch):
     assert 0 < json.loads(out)["occurrences"] < 500
 
 
+def test_analyze_holes_search_once_per_symbol(tmp_path, capsys, monkeypatch):
+    # A wall's first hole depends only on its symbol, so `analyze --holes`
+    # searches at most once per symbol, not once per wall.  Y's first 1 sits
+    # 2000 symbols in, where a search per wall would rescan every time.  The
+    # sha256 is that of the stdout of one search per wall, recorded before.
+    rng = random.Random(19)
+    x = write_seq(tmp_path, "x.txt", format(rng.getrandbits(3000), "03000b"))
+    y = write_seq(tmp_path, "y.txt", "0" * 2000 + "1" + format(rng.getrandbits(500), "0500b"))
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return find_fitting_hole(*args)
+
+    monkeypatch.setattr(cli, "find_fitting_hole", counting)
+    code, out, _ = run_cli(capsys, "analyze", "--x", x, "--y", y, "--m", "3", "--holes")
+    assert code == 0
+    assert len(calls) <= 2
+    assert out.count('"kind": "hole"') == 1277
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "55c7612c035a408d0236e232fc0153adcbb1244e4a6e7e0fdacee630412e0276"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    first=st.sampled_from("01"),
+    runs=st.lists(st.integers(1, 14), max_size=30),
+    delta=st.sampled_from([None, "0", "1", "inf"]),
+)
+def test_analyze_span_records_only_spans(m, first, runs, delta):
+    # Every wall cluster starts and ends with a size-m wall, so each one has
+    # a spanning sequence: `analyze --span` prints only walls and spans.
+    text = "".join(str((int(first) + i) % 2) * n for i, n in enumerate(runs))
+    with tempfile.TemporaryDirectory() as d:
+        x = os.path.join(d, "x.txt")
+        with open(x, "w", encoding="ascii") as fh:
+            fh.write(text + "\n")
+        argv = ["analyze", "--x", x, "--m", str(m), "--span"]
+        if delta is not None:
+            argv += ["--delta", delta]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code == 0
+    records = [json.loads(line) for line in out.getvalue().splitlines()[1:]]
+    assert {r["kind"] for r in records} <= {"base-run", "span"}
+    spans = [r for r in records if r["kind"] == "span"]
+    assert bool(spans) == any(r["kind"] == "base-run" for r in records)
+
+
 # ------------------------------------------------------------- numpy.random
 
 # Importing numpy.random costs about 6 MB of resident memory.  Commands that
@@ -664,7 +718,8 @@ _PROBE = (
         (["embed", "--x", "{x}", "--y", "{y}", "--m", "4", "--witness"], False),
         (["analyze", "--x", "{x}", "--y", "{y}", "--m", "3", "--holes", "--span"], False),
         (["simulate", "--m-range", "1..3", "--L-range", "8..8", "--trials", "100"], False),
-        # The wall check samples through a numpy Generator: the probe sees it.
+        # The wall check draws raw words from numpy.random's Philox: the probe
+        # sees it.
         (["simulate", "--check", "walls", "--samples", "10"], True),
     ],
     ids=["embed", "analyze", "simulate", "check-walls"],

@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapembed import (
     BinarySequence,
@@ -14,9 +17,9 @@ from gapembed import (
     wall_frequency_check,
 )
 from gapembed.errors import InputBoundsError, UnderpoweredError
-from gapembed import experiments
+from gapembed import __version__, experiments
 from gapembed.experiments import CSV_HEADER, rows_to_csv
-from gapembed.rng import RNG_ID, stream_bits
+from gapembed.rng import RNG_ID, philox, stream_bits
 from gapembed.stats import wilson_interval
 
 
@@ -92,12 +95,12 @@ def test_sweep_builds_one_pool(monkeypatch):
 def test_sweep_rows_and_csv():
     rows = sweep([1, 2], [2, 4], trials=50, master_seed=7)
     assert [(r.m, r.L) for r in rows] == [(1, 2), (1, 4), (2, 2), (2, 4)]
-    text = rows_to_csv(rows, version="0.0-test")
+    text = rows_to_csv(rows)
     lines = text.strip().split("\n")
-    assert lines[0].startswith("# gapembed 0.0-test")
+    assert lines[0] == f"# gapembed {__version__} rng_id={RNG_ID}"
     assert lines[1] == CSV_HEADER
     assert len(lines) == 2 + len(rows)
-    assert rows_to_csv(rows, version="0.0-test") == text  # byte stable
+    assert rows_to_csv(rows) == text  # byte stable
 
 
 def test_wilson_interval_sanity():
@@ -133,6 +136,67 @@ def test_wall_frequency_report():
     assert again == rep
     with pytest.raises(InputBoundsError):
         wall_frequency_check(4, 9, samples=10)
+
+
+def _constant_top_bits(words, l, samples):
+    """Reference for the wall check: sample i is the top l bits of 32-bit
+    half i (low half of each word first) for l <= 32, else of word i; count
+    the constant samples."""
+    if l <= 32:
+        draws = [h >> (32 - l) for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+    else:
+        draws = [w >> (64 - l) for w in words]
+    return sum(d in (0, (1 << l) - 1) for d in draws[:samples])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.sampled_from([0, 1, 99, 12345, -1, -7, 2**63 + 5]),
+    l=st.integers(1, 62),
+    samples=st.integers(1, 300),
+)
+def test_wall_check_reads_raw_philox_words(seed, l, samples):
+    m = l // 2 + 1
+    words = [int(w) for w in philox(seed, (0, m, l)).random_raw(samples)]
+    got = wall_frequency_check(m, l, samples, seed).occurrences
+    assert got == _constant_top_bits(words, l, samples)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_wall_check_on_chosen_words(data):
+    # Real streams almost never show a wall for large l; feed words whose
+    # samples are often constant instead.
+    l = data.draw(st.integers(1, 62))
+    samples = data.draw(st.integers(1, 40))
+    bits = 32 if l <= 32 else 64
+    free = bits - l
+    value = st.one_of(
+        st.integers(0, (1 << free) - 1),  # top l bits all 0
+        st.integers((1 << bits) - (1 << free), (1 << bits) - 1),  # all 1
+        st.integers(0, (1 << bits) - 1),
+    )
+    values = data.draw(st.lists(value, min_size=samples, max_size=samples))
+    if bits == 32:
+        values += [0] * (samples % 2)
+        words = [lo | hi << 32 for lo, hi in zip(values[::2], values[1::2])]
+    else:
+        words = values
+
+    m = l // 2 + 1
+
+    class Words:  # stands in for the stream (0, m, l) of seed 5
+        def __init__(self, seed, coords):
+            assert (seed, coords) == (5, (0, m, l))
+
+        def random_raw(self, n):
+            assert n == len(words)
+            return np.array(words, dtype=np.uint64)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "philox", Words)
+        got = wall_frequency_check(m, l, samples, 5).occurrences
+    assert got == _constant_top_bits(words, l, samples)
 
 
 def test_hole_frequency_smoke():

@@ -51,7 +51,7 @@ def test_report_json_schema():
 
 def test_level_one_is_base():
     base = base_params(10)
-    assert level_table(DEFAULT_EXPONENTS, base, 1)[-1][0] == base
+    assert level_table(base, 1)[-1][0] == base
     assert base.R == 20 and base.slb == F(1, 20)
     assert base.sigma_x == 0.05 and base.sigma_y == 10.0
     assert base.q_tri == 0.0 and base.q_inv == 0.5 and base.w == 0.0
@@ -59,7 +59,7 @@ def test_level_one_is_base():
 
 
 def test_level_two_rank():
-    p2 = level_table(DEFAULT_EXPONENTS, base_params(10), 2)[-1][0]
+    p2 = level_table(base_params(10), 2)[-1][0]
     assert p2.R == F(35)
     assert p2.level == 2
 
@@ -67,13 +67,13 @@ def test_level_two_rank():
 def test_rank_closed_form():
     base = base_params(6)
     for k in range(1, 9):
-        pk = level_table(DEFAULT_EXPONENTS, base, k)[-1][0]
+        pk = level_table(base, k)[-1][0]
         assert pk.R == F(12) * F(7, 4) ** (k - 1)
 
 
 def test_exponent_space_identities():
     # gamma-spacing makes Delta/Gamma == (Gamma/Phi)^(1/2) exact in exponents.
-    p = level_table(DEFAULT_EXPONENTS, base_params(8), 5)[-1][0]
+    p = level_table(base_params(8), 5)[-1][0]
     lhs = p.log_Delta - p.log_Gamma
     rhs = (p.log_Gamma - p.log_Phi) / 2
     assert lhs == rhs
@@ -84,12 +84,12 @@ def test_exponent_space_identities():
 def test_infeasible_tuple_propagates():
     bad = replace(DEFAULT_EXPONENTS, tau=F(2))
     with pytest.raises(InputBoundsError, match="tau-range"):
-        level_table(bad, base_params(4), 3)
+        level_table(base_params(4, bad), 3)
 
 
 def test_level_table_and_horizon_m10():
     base = base_params(10)
-    rows = level_table(DEFAULT_EXPONENTS, base, 8)
+    rows = level_table(base, 8)
     assert [p.level for p, _ in rows] == list(range(1, 9))
     # q and sigma are nondecreasing in the level
     for (p_lo, _), (p_hi, _) in zip(rows, rows[1:]):
@@ -107,7 +107,7 @@ def test_level_table_and_horizon_m10():
 
 def test_large_scale_exponents_stay_exact():
     # w underflows any float at deep levels; the log representation does not.
-    p = level_table(DEFAULT_EXPONENTS, base_params(10), 9)[-1][0]
+    p = level_table(base_params(10), 9)[-1][0]
     assert p.w == 0.0  # underflow in the float view
     assert p.w_log is not None and p.w_log < -4000  # exact in exponent space
 

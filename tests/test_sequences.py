@@ -61,15 +61,15 @@ def test_constant_on_out_of_range():
 
 def test_round_trip_strings():
     for text in ("", "0", "1", "0101100"):
-        assert BinarySequence.from_string(text).to_string() == text
+        assert BinarySequence.from_string(text).text == text
 
 
 def test_file_loader_accepts_trailing_newline(tmp_path):
     p = tmp_path / "seq.txt"
     p.write_bytes(b"0101\n")
-    assert load_sequence_file(str(p)).to_string() == "0101"
+    assert load_sequence_file(str(p)).text == "0101"
     p.write_bytes(b"0101")
-    assert load_sequence_file(str(p)).to_string() == "0101"
+    assert load_sequence_file(str(p)).text == "0101"
 
 
 def test_file_loader_rejects_with_offset(tmp_path):
@@ -87,7 +87,7 @@ def test_file_loader_rejects_with_offset(tmp_path):
 def test_save_load_round_trip(tmp_path):
     p = tmp_path / "seq.txt"
     s = BinarySequence.from_string("110010")
-    p.write_text(s.to_string() + "\n", encoding="ascii")
+    p.write_text(s.text + "\n", encoding="ascii")
     assert load_sequence_file(str(p)) == s
 
 
@@ -109,14 +109,14 @@ def test_parsers_match_per_bit_construction(data):
     want = per_bit(text)
     assert want == BinarySequence(bits, n)
     assert BinarySequence.from_string(text) == want
-    assert BinarySequence(bits, n).to_string() == text
+    assert BinarySequence(bits, n).text == text
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "seq.txt")
         newline = data.draw(st.booleans())
         with open(path, "wb") as fh:
             fh.write(text.encode() + (b"\n" if newline else b""))
         got = load_sequence_file(path)
-        assert got == want and got.to_string() == text
+        assert got == want and got.text == text
         if n:
             # One foreign byte anywhere is reported at its offset; int() would
             # take some of these ('_', ' ', '+') without complaint.

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from gapembed import (
     BinarySequence,
-    Hole,
     Interval,
     WallValue,
     find_fitting_hole,
@@ -73,7 +72,7 @@ def find_fitting_hole_oracle(
     Y: BinarySequence,
     slb,
     step_max: Optional[int] = None,
-) -> Optional[Hole]:
+) -> Optional[Interval]:
     """First hole (smallest left endpoint, then smallest size) crossing `wall`.
 
     A hole through a vertical wall is an interval ]a, a+s] of the other axis
@@ -103,7 +102,7 @@ def find_fitting_hole_oracle(
                 entry, exit_ = (a, body.left), (a + s, body.right)
                 ok = rect_reachable(X, Y, entry, exit_, step_max)
             if ok:
-                return Hole(Interval(a, a + s), wall, entry, exit_)
+                return Interval(a, a + s)
     return None
 
 
@@ -156,13 +155,12 @@ def test_spanning_sequence_left_end_before_origin():
 
 def test_spanning_sequence_cover_of_a_cluster():
     seq = BinarySequence.from_string("0001101110100" + "0" * 5)
-    walls = find_walls(seq, 2, "h")
-    out = spanning_sequence(Interval(0, len(seq)), seq, 2, "h")
+    walls = find_walls(seq, 2)
+    out = spanning_sequence(Interval(0, len(seq)), seq, 2)
     assert out == spanning_sequence_oracle(Interval(0, len(seq)), walls, seq, 2)
     assert [(w.body.left, w.body.right) for w in out] == [
         (0, 2), (3, 5), (6, 8), (11, 13), (13, 15), (16, 18)
     ]
-    assert all(w.orientation == "h" for w in out)
 
 
 @settings(max_examples=300, deadline=None)
@@ -223,8 +221,8 @@ def test_closed_form_hole_matches_search(data):
     got = find_fitting_hole(wall, starts, X, Y)
     assert got == find_fitting_hole_oracle(wall, starts, X, Y, Fraction(1, 2 * m))
     if got is not None:
-        assert got.interval.size == 1
-        assert Y.symbol(got.interval.right) == X.symbol(wall.body.right)
+        assert got.size == 1
+        assert Y.symbol(got.right) == X.symbol(wall.body.right)
 
 
 @pytest.mark.parametrize(

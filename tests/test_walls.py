@@ -339,8 +339,9 @@ def test_fitting_hole_single_row():
     Y_hit = BinarySequence.from_string("0010")
     hole = find_fitting_hole(wall, range(1, 3), X, Y_hit)
     assert hole is not None
-    assert (hole.interval.left, hole.interval.right) == (2, 3)
-    assert hole.entry == (2, 2) and hole.exit == (2 + m, 3)
+    assert hole == Interval(2, 3)
+    # The crossing runs from (wall left, hole left) to (wall right, hole right).
+    assert rect_reachable(X, Y_hit, (2, 2), (2 + m, 3), 3 * m)
     Y_miss = BinarySequence.from_string("0000")
     assert (
         find_fitting_hole(wall, range(1, 3), X, Y_miss)
@@ -361,5 +362,6 @@ def test_fitting_hole_reverifies(data):
     hole = find_fitting_hole(wall, range(0, 6), X, Y)
     if hole is None:
         return
-    assert hole.interval.size <= 2 * m * wall.size
-    assert rect_reachable(X, Y, hole.entry, hole.exit, 3 * m)
+    assert hole.size <= 2 * m * wall.size
+    entry, exit_ = (wall.body.left, hole.left), (wall.body.right, hole.right)
+    assert rect_reachable(X, Y, entry, exit_, 3 * m)
