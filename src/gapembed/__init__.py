@@ -1,8 +1,8 @@
 """Bounded-gap embedding of random binary sequences.
 
-Solver (bitset reachability), base-level structure analysis (walls, holes,
-hops), renormalization parameter calculus, and a reproducible
-Monte Carlo harness.
+Solver (bitset reachability), level-1 structure analysis (walls, holes,
+spanning covers, base paths), compound walls, the renormalization parameter
+calculus, and a reproducible Monte Carlo harness.
 """
 
 __version__ = "0.1.0"
@@ -30,26 +30,19 @@ from .params import (
     LevelParams,
     base_params,
     level_table,
-    rank_prob,
     verify_exponents,
 )
 from .renorm import (
     CompoundWall,
-    LevelStructures,
     compound_walls,
-    detect_missing_hole_event,
-    estimate_missing_hole_trap,
-    finish_step,
 )
 from .sequences import BinarySequence, load_sequence_file
 from .walls import (
     Interval,
     WallValue,
     construct_base_path,
-    find_dominant_walls,
     find_fitting_hole,
     find_walls,
-    hop_check,
     slope_condition,
     spanning_sequence,
 )

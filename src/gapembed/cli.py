@@ -111,25 +111,29 @@ def _config_argv(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
         for a in command._actions
         if a.option_strings and a.dest not in ("help", "config")
     }
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise GapembedError(f"{path}: {exc}") from None
     tokens = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise GapembedError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            action = flags.get(key.replace("-", "_"))
-            if action is None:
-                raise GapembedError(f"{path}:{lineno}: unknown key {key!r} for {argv[0]}")
-            if action.nargs != 0:
-                tokens.append(f"{action.option_strings[0]}={val}")
-            elif val.lower() in ("1", "true", "yes", "on"):
-                tokens.append(action.option_strings[0])
-            elif val.lower() not in ("0", "false", "no", "off"):
-                raise GapembedError(f"{path}:{lineno}: {key} takes true or false")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise GapembedError(f"{path}:{lineno}: expected key=value")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise GapembedError(f"{path}:{lineno}: unknown key {key!r} for {argv[0]}")
+        if action.nargs != 0:
+            tokens.append(f"{action.option_strings[0]}={val}")
+        elif val.lower() in ("1", "true", "yes", "on"):
+            tokens.append(action.option_strings[0])
+        elif val.lower() not in ("0", "false", "no", "off"):
+            raise GapembedError(f"{path}:{lineno}: {key} takes true or false")
     return [argv[0], *tokens, *argv[1:]]
 
 

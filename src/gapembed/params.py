@@ -12,8 +12,7 @@ bounds additively:
     sigma' = sigma + Lambda * slb^-3 * Delta/Gamma
     q'     = q + Delta' / T
 
-Lambda and the wall constant c2 have no canonical value: Lambda is fixed at
-10 (`LAMBDA`), and `rank_prob` takes c2 as an argument.
+Lambda has no canonical value; it is fixed at 10 (`LAMBDA`).
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ RationalLike = Union[int, str, Fraction, float]
 
 #: log2 of the rank base lam = 2^(1/2).
 LAM_LOG2 = Fraction(1, 2)
-#: polynomial degree in the wall probability bound p(r) = c2 * r^-C1 * lam^-r
-C1 = 2
 #: Lambda in the slope step sigma' = sigma + Lambda * slb^-3 * Delta/Gamma
 LAMBDA = Fraction(10)
 
@@ -56,8 +53,10 @@ def lam_pow(exponent: Fraction) -> float:
 
 
 def report_float(x: Fraction) -> float:
-    """x as a float for reports; a value past the float range gives inf."""
-    return float(x) if x <= sys.float_info.max else math.inf
+    """x as a float for reports; a value past the float range gives +-inf."""
+    if abs(x) <= sys.float_info.max:
+        return float(x)
+    return math.inf if x > 0 else -math.inf
 
 
 def cmp_lam_pow(exponent: Fraction, value: Fraction) -> int:
@@ -132,7 +131,11 @@ DEFAULT_EXPONENTS = ExponentTuple(
 
 @dataclass(frozen=True)
 class ConstraintCheck:
-    """Outcome of one named feasibility constraint."""
+    """Outcome of one named feasibility constraint.
+
+    Each side is an exact value, a list of them, or None; the JSON report
+    gives them as floats, saturating at +-inf past the float range.
+    """
 
     name: str
     lhs: object
@@ -140,7 +143,14 @@ class ConstraintCheck:
     ok: bool
 
     def to_json(self) -> dict:
-        return {"constraint": self.name, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
+        def side(v):
+            if isinstance(v, list):
+                return [report_float(x) for x in v]
+            return None if v is None else report_float(v)
+
+        return {
+            "constraint": self.name, "lhs": side(self.lhs), "rhs": side(self.rhs), "ok": self.ok
+        }
 
 
 @dataclass(frozen=True)
@@ -179,50 +189,38 @@ CONSTRAINT_NAMES = (
 def verify_exponents(e: ExponentTuple) -> ExponentReport:
     """Check the thirteen feasibility constraints by exact rational arithmetic.
 
-    Chain constraints report their member values; simple inequalities report
-    both sides as floats.  Failure is a value, never an exception.
+    Chain constraints record their member values; simple inequalities record
+    both sides.  Failure is a value, never an exception.
     """
     d, g, f = e.delta, e.gamma, e.phi
     t, tp, w, x = e.tau, e.tau_prime, e.omega, e.chi
     tb = e.tau_bar
     checks = [
-        ConstraintCheck("tau-range", float(t), [1.0, 2.0], 1 < t < 2),
-        ConstraintCheck("tau-prime-range", float(tp), [float(t), float(t * t)], t < tp < t * t),
+        ConstraintCheck("tau-range", t, [1, 2], 1 < t < 2),
+        ConstraintCheck("tau-prime-range", tp, [t, t * t], t < tp < t * t),
+        ConstraintCheck("exponent-order", [d, g, f], [0, 1], 0 < d < g < f < 1),
+        ConstraintCheck("tau-phi-cap", t, 2 - f, t <= 2 - f),
+        ConstraintCheck("phi-below-tau-delta", f, t * d, f < t * d),
+        ConstraintCheck("gamma-spacing", 2 * (g - d), f - g, 2 * (g - d) == f - g),
+        ConstraintCheck("omega-trap-floor", 2 * g - t * d + 1, w, 2 * g - t * d + 1 < w),
         ConstraintCheck(
-            "exponent-order", [float(d), float(g), float(f)], [0.0, 1.0], 0 < d < g < f < 1
-        ),
-        ConstraintCheck("tau-phi-cap", float(t), float(2 - f), t <= 2 - f),
-        ConstraintCheck("phi-below-tau-delta", float(f), float(t * d), f < t * d),
-        ConstraintCheck(
-            "gamma-spacing", float(2 * (g - d)), float(f - g), 2 * (g - d) == f - g
-        ),
-        ConstraintCheck(
-            "omega-trap-floor", float(2 * g - t * d + 1), float(w), 2 * g - t * d + 1 < w
+            "omega-correlated-floor", 4 * (g + d), w * (4 - t), 4 * (g + d) < w * (4 - t)
         ),
         ConstraintCheck(
-            "omega-correlated-floor",
-            float(4 * (g + d)),
-            float(w * (4 - t)),
-            4 * (g + d) < w * (4 - t),
+            "omega-emerging-floor", 4 * g + 6 * d + tp, 2 * w, 4 * g + 6 * d + tp < 2 * w
         ),
-        ConstraintCheck(
-            "omega-emerging-floor",
-            float(4 * g + 6 * d + tp),
-            float(2 * w),
-            4 * g + 6 * d + tp < 2 * w,
-        ),
-        ConstraintCheck("tau-prime-floor", float(t * (d + 1)), float(tp), t * (d + 1) < tp),
-        ConstraintCheck("chi-gap-cap", float(t * x), float(g - d), t * x < g - d),
+        ConstraintCheck("tau-prime-floor", t * (d + 1), tp, t * (d + 1) < tp),
+        ConstraintCheck("chi-gap-cap", t * x, g - d, t * x < g - d),
         ConstraintCheck(
             "chi-delta-cap",
-            None if tb is None else float(tb * x),
-            float(1 - t * d),
+            None if tb is None else tb * x,
+            1 - t * d,
             tb is not None and tb * x < 1 - t * d,
         ),
         ConstraintCheck(
             "chi-omega-cap",
-            None if tb is None else float(tb * x),
-            float(w - 2 * t * d),
+            None if tb is None else tb * x,
+            w - 2 * t * d,
             tb is not None and tb * x < w - 2 * t * d,
         ),
     ]
@@ -393,10 +391,3 @@ def feasibility_horizon(rows: Sequence[tuple[LevelParams, LevelFacts]]) -> int:
             break
         horizon = params.level
     return horizon
-
-
-def rank_prob(r, c2: RationalLike = Fraction(1, 4)) -> float:
-    """Wall probability bound p(r) = c2 * r^-2 * lam^-r, strictly decreasing."""
-    if r <= 0:
-        raise InputBoundsError("rank must be positive")
-    return float(_frac(c2)) * float(r) ** (-C1) * 2.0 ** (-float(r) / 2)

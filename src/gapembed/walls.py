@@ -18,9 +18,9 @@ wall starts at i", i.e. ]i, i+m] is constant, is the lookahead
 at the first a with Y(a+1) = X(d), crossed from (c, a) to (d, a+1), so it
 depends on the wall only through the symbol X(d) (see `find_fitting_hole`).
 
-Intervals follow the right-closed convention ]a, b] with a >= -1.  On
-non-empty intervals, containment and intersection are those of the integer
-points a+1..b, so ]i, i+l] lies inside ]u, v] iff u <= i and i+l <= v.
+Intervals follow the right-closed convention ]a, b] with a >= -1: ]a, b]
+holds the integer points a+1..b, so ]i, i+l] lies inside ]u, v] iff u <= i
+and i+l <= v.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional
 
 from .engine import rect_reachable  # looked up by name in bench/tracer.py
 from .errors import InputBoundsError, StructureError
 from .sequences import BinarySequence
 
 Point = tuple[int, int]
-Openness = Literal["closed", "left-open", "bottom-open"]
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,6 @@ class Interval:
     @property
     def size(self) -> int:
         return self.right - self.left
-
-    def intersects(self, other: "Interval") -> bool:
-        return max(self.left, other.left) < min(self.right, other.right)
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.left <= other.left and other.right <= self.right
 
 
 @dataclass(frozen=True)
@@ -116,64 +109,6 @@ def _wall_starts(m: int) -> re.Pattern:
     return re.compile(f"(?=0{{{m}}}|1{{{m}}})")
 
 
-def _adjacent_external(
-    wall: WallValue, walls: Sequence[WallValue], length: Optional[int]
-) -> tuple[Optional[Interval], Optional[Interval], bool]:
-    """Maximal external intervals flanking a wall body (None where another
-    wall straddles the body's end, leaving no adjacent external interval)
-    plus a flag marking an unbounded right flank."""
-    a, b = wall.body.left, wall.body.right
-    left_cap = -1
-    right_cap = length
-    left = right = None
-    blocked_left = blocked_right = False
-    for w in walls:
-        c, d = w.body.left, w.body.right
-        if c < a < d:
-            blocked_left = True
-        elif d <= a:
-            left_cap = max(left_cap, d)
-        if c < b < d:
-            blocked_right = True
-        elif c >= b:
-            right_cap = c if right_cap is None else min(right_cap, c)
-    if not blocked_left:
-        left = Interval(left_cap, a)
-    right_unbounded = not blocked_right and right_cap is None
-    if not blocked_right and right_cap is not None:
-        right = Interval(b, max(right_cap, b))
-    return left, right, right_unbounded
-
-
-def find_dominant_walls(
-    walls: Sequence[WallValue], delta, length: Optional[int] = None
-) -> list[WallValue]:
-    """Walls surrounded by external intervals of size >= delta (or at the
-    start of the half-line).
-
-    With `length` given, the right flank must show size >= delta inside the
-    visible window; without it the line is treated as unbounded, so a flank
-    with no wall beyond it qualifies.  Every returned wall contains all walls
-    intersecting it; that consequence of the definition is asserted.
-    """
-    dominant = []
-    for w in walls:
-        left, right, right_unbounded = _adjacent_external(w, walls, length)
-        if left is None or (right is None and not right_unbounded):
-            continue
-        if (left.size >= delta or left.left == -1) and (
-            right_unbounded or right.size >= delta
-        ):
-            dominant.append(w)
-    for w in dominant:
-        for other in walls:
-            if w.body.intersects(other.body):
-                assert w.body.contains_interval(other.body), (
-                    f"dominant wall {w.body} does not contain intersecting {other.body}"
-                )
-    return dominant
-
-
 def spanning_sequence(interval: Interval, seq: BinarySequence, m: int) -> list[WallValue]:
     """Cover `interval` by disjoint size-m walls of `seq` separated by hops.
 
@@ -216,34 +151,6 @@ def _projection_contains_wall(lo: int, hi: int, seq: BinarySequence, m: int) -> 
     # the left-open projection ]lo, hi] gives the same condition.  Any wall
     # there contains a size-m one, which the search with endpos hi finds.
     return _wall_starts(m).search(seq.text, max(lo, 0), hi) is not None
-
-
-def hop_check(
-    rect: tuple[Point, Point, Openness], X: BinarySequence, Y: BinarySequence, m: int
-) -> bool:
-    """Is the rectangle a hop at level 1?
-
-    True iff its x-projection contains no vertical wall, its y-projection no
-    horizontal wall, and both corners are clean in it.  There are no traps at
-    this level.  Empty rectangles (left-open with zero width, bottom-open with
-    zero height) are hops.
-    """
-    (u0, u1), (v0, v1), openness = rect
-    if v0 < u0 or v1 < u1:
-        raise InputBoundsError("rectangle corners must be ordered")
-    if v0 > len(X) or v1 > len(Y):
-        raise InputBoundsError("rectangle exceeds the sequences")
-    if openness == "left-open" and u0 == v0:
-        return True
-    if openness == "bottom-open" and u1 == v1:
-        return True
-    if _projection_contains_wall(u0, v0, X, m):
-        return False
-    if _projection_contains_wall(u1, v1, Y, m):
-        return False
-    # Inner cleanness: the lower-left corner is automatic; the upper-right
-    # corner needs matching symbols (axis points have no symbol and pass).
-    return v0 == 0 or v1 == 0 or X.symbol(v0) == Y.symbol(v1)
 
 
 def slope_condition(u: Point, v: Point, sigma_x, sigma_y) -> bool:

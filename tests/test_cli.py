@@ -386,6 +386,24 @@ def test_params_deep_levels_print_inf(capsys, m):
     assert R == sorted(R) and R[-1] == math.inf and R[0] < math.inf
 
 
+@pytest.mark.parametrize("field, code", [("delta", 1), ("omega", 0)])
+def test_params_huge_exponent_reports_without_traceback(tmp_path, field, code):
+    # 1e400 is past the float range: the report sides saturate at +-inf.
+    expfile = tmp_path / "e.json"
+    expfile.write_text(json.dumps({**_DEFAULT_EXPONENTS_JSON, field: "1e400"}))
+    proc = run_fresh("params", "--m", "4", "--levels", "2", "--exponents", str(expfile))
+    assert proc.returncode == code
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
+    sides = {e["constraint"]: (e["lhs"], e["rhs"]) for e in report}
+    if field == "delta":
+        assert sides["exponent-order"][0][0] == math.inf
+        assert sides["chi-delta-cap"][1] == -math.inf
+    else:
+        assert sides["omega-trap-floor"][1] == math.inf
+        assert proc.stdout.split("\n")[3].startswith("2,")
+
+
 def test_params_golden_corpus(tmp_path, capsys):
     # sha256 of `params` stdout, recorded before the unused LevelParams and
     # base_params knobs were cut: m 2/4/10/40, --levels 1/3/12/1300; plus
@@ -568,6 +586,16 @@ def test_config_bad_line_exits_two(tmp_path, capsys, line):
                              "--x", x, "--y", x, "--m", "2")
     assert code == 2
     assert out == "" and err.startswith("error:") and "bad.conf:1" in err
+
+
+def test_config_not_utf8_exits_two(tmp_path, capsys):
+    x = write_seq(tmp_path, "x.txt", "10")
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"m=\xff\xfe\n")
+    code, out, err = run_cli(capsys, "analyze", "--x", x, "--m", "2", "--config", str(conf))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "bad.conf" in err
+    assert err.count("\n") == 1
 
 
 def test_selftest_passes(capsys):

@@ -11,7 +11,6 @@ from gapembed import (
     ExponentTuple,
     base_params,
     level_table,
-    rank_prob,
     verify_exponents,
 )
 from gapembed.errors import InputBoundsError
@@ -110,26 +109,6 @@ def test_large_scale_exponents_stay_exact():
     p = level_table(base_params(10), 9)[-1][0]
     assert p.w == 0.0  # underflow in the float view
     assert p.w_log is not None and p.w_log < -4000  # exact in exponent space
-
-
-# ------------------------------------------------------------- probabilities
-
-
-def test_rank_prob_value():
-    assert rank_prob(20, c2=1) == pytest.approx(20**-2 * 2**-10, rel=1e-12)
-
-
-def test_rank_prob_monotone():
-    values = [rank_prob(r) for r in range(8, 60)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_rank_prob_ratio_identity():
-    # p(r)/p(r+2) = ((r+2)/r)^2 * lam^2
-    for r in (8, 20, 33):
-        ratio = rank_prob(r) / rank_prob(r + 2)
-        assert ratio == pytest.approx(((r + 2) / r) ** 2 * 2.0, rel=1e-9)
-        assert ratio > 1
 
 
 # ------------------------------------------------------------- exact compare

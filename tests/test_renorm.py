@@ -1,20 +1,13 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapembed import (
-    BinarySequence,
     Interval,
-    LevelStructures,
     WallValue,
     compound_walls,
-    detect_missing_hole_event,
-    estimate_missing_hole_trap,
-    finish_step,
 )
-from gapembed.errors import UnderpoweredError
 from gapembed.renorm import log_lam_floor
 
 
@@ -62,12 +55,6 @@ def test_compound_gap_bound_and_order():
     assert compound_walls([wall(0, 3, 10)], phi=16, r_star=15) == []
 
 
-def test_compound_hop_flag():
-    walls = [wall(0, 3, 10), wall(5, 8, 12)]
-    out = compound_walls(walls, phi=16, r_star=11, hop_fn=lambda gap: gap.size < 3)
-    assert all(cw.is_wall for cw in out if cw.distance < 3)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_compound_rank_window(data):
@@ -88,143 +75,3 @@ def test_compound_rank_window(data):
         r1, r2 = cw.first.rank, cw.second.rank
         assert r1 + r2 - log_phi <= cw.rank <= r1 + r2
         assert 0 <= cw.distance <= phi
-
-
-# ------------------------------------------------------------- finish
-
-
-def test_finish_all_heavy():
-    walls = (wall(0, 3, 30), wall(10, 13, 40))
-    cw = compound_walls(list(walls), phi=16, r_star=35)
-    out = finish_step(
-        LevelStructures(walls=walls, traps=(((0, 0), (1, 1)),), new_compound=tuple(cw)),
-        r_star=25,
-        delta=2,
-    )
-    assert out.traps == ()
-    lefts = {(w.body.left, w.body.right) for w in out.walls}
-    assert {(0, 3), (10, 13)} <= lefts
-    assert any(w.kind == "compound" for w in out.walls)
-
-
-def test_finish_dominant_light_removes_contained():
-    # light dominant wall ]0,10] contains a heavy wall ]2,6]: both go
-    outer = wall(0, 10, 10)
-    inner = wall(2, 6, 99)
-    out = finish_step(
-        LevelStructures(walls=(outer, inner)), r_star=50, delta=3
-    )
-    assert out.walls == ()
-    # without dominance (a blocking wall nearby) the heavy one survives
-    blocker = wall(11, 14, 99)
-    out = finish_step(
-        LevelStructures(walls=(outer, inner, blocker)), r_star=50, delta=3
-    )
-    survivors = {(w.body.left, w.body.right) for w in out.walls}
-    assert survivors == {(2, 6), (11, 14)}
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_finish_rank_floor(data):
-    rng = random.Random(data.draw(st.integers(0, 10**9)))
-    r_star = 20
-    walls = []
-    cursor = 0
-    for _ in range(data.draw(st.integers(1, 6))):
-        cursor += rng.randint(1, 8)
-        size = rng.randint(2, 4)
-        walls.append(wall(cursor, cursor + size, rng.randint(10, 40)))
-        cursor += size
-    cw = compound_walls(walls, phi=64, r_star=r_star)
-    cw = [c for c in cw if c.rank >= r_star]  # mirror a valid parameter regime
-    out = finish_step(
-        LevelStructures(walls=tuple(walls), new_compound=tuple(cw)),
-        r_star=r_star,
-        delta=3,
-    )
-    assert all(w.rank >= r_star for w in out.walls)
-
-
-# ------------------------------------------------------------- events
-
-
-def _mh_setup(y_text):
-    # region I = ]0, 12], b = 0, delta = 2, m = 2: candidate wall bodies start
-    # at 2 inside the window [0, 6].
-    X = BinarySequence.from_string("0110100110110")
-    Y = BinarySequence.from_string(y_text)
-    return X, Y, Interval(0, 12), 0, 2, 2
-
-
-def test_missing_hole_no_wall():
-    X, Y, region, b, delta, m = _mh_setup("0101010")
-    assert not detect_missing_hole_event(X, Y, region, b, delta, m)
-
-
-def test_missing_hole_wall_with_hole():
-    # wall body ]2,4] ("11"); X offers matching entries and crossings
-    X, Y, region, b, delta, m = _mh_setup("0011010")
-    assert not detect_missing_hole_event(X, Y, region, b, delta, m)
-
-
-def test_missing_hole_wall_without_hole():
-    # Y wall ]2,4] of zeros; X has no zeros beyond position 12, and inside
-    # the margin-admissible zone no good hole crosses two rows of zeros.
-    X = BinarySequence.from_string("1111111111111")
-    Y = BinarySequence.from_string("0000010")
-    region = Interval(0, 12)
-    assert detect_missing_hole_event(X, Y, region, 0, 2, 2)
-
-
-def test_missing_hole_r_star_gate():
-    X, Y, region, b, delta, m = _mh_setup("0000010")
-    X = BinarySequence.from_string("1111111111111")
-    assert detect_missing_hole_event(X, Y, region, b, delta, m, r_star=10)
-    # when level walls are not light, the event cannot fire
-    assert not detect_missing_hole_event(X, Y, region, b, delta, m, r_star=3)
-
-
-def test_estimator_underpowered():
-    X, Y, region, b, delta, m = _mh_setup("0101010")
-    with pytest.raises(UnderpoweredError):
-        estimate_missing_hole_trap(X, Y, region, b, delta, m, 0.1, trials=50)
-
-
-def test_missing_hole_estimator_matches_enumeration():
-    X, Y, region, b, delta, m = _mh_setup("0101010")
-    positions = range(max(1, b), min(len(Y), b + 3 * delta) + 1)
-    width = len(positions)
-    hits = 0
-    for assignment in range(1 << width):
-        bits = Y.bits
-        for idx, pos in enumerate(positions):
-            mask = 1 << (pos - 1)
-            bits = bits | mask if assignment >> idx & 1 else bits & ~mask
-        if detect_missing_hole_event(
-            BinarySequence(bits, len(Y)), Y, region, b, delta, m
-        ):
-            hits += 1
-    # enumeration resamples X? no: the event conditions on X and varies Y(J)
-    exact = 0
-    for assignment in range(1 << width):
-        bits = Y.bits
-        for idx, pos in enumerate(positions):
-            mask = 1 << (pos - 1)
-            bits = bits | mask if assignment >> idx & 1 else bits & ~mask
-        if detect_missing_hole_event(X, BinarySequence(bits, len(Y)), region, b, delta, m):
-            exact += 1
-    p_true = exact / (1 << width)
-    est = estimate_missing_hole_trap(
-        X, Y, region, b, delta, m, w_bound=0.1, trials=400, seed=5
-    )
-    sigma = (p_true * (1 - p_true) / est.trials) ** 0.5
-    assert abs(est.p_hat - p_true) <= max(3 * sigma, 0.01)
-    assert est.ci_low <= est.p_hat <= est.ci_high
-
-
-def test_estimator_never_flags_at_w_zero():
-    X, Y, region, b, delta, m = _mh_setup("0000010")
-    X = BinarySequence.from_string("1111111111111")
-    est = estimate_missing_hole_trap(X, Y, region, b, delta, m, w_bound=0.0, trials=100, seed=1)
-    assert est.event_holds and not est.trap_estimated

@@ -10,10 +10,8 @@ from gapembed import (
     Interval,
     WallValue,
     construct_base_path,
-    find_dominant_walls,
     find_fitting_hole,
     find_walls,
-    hop_check,
     rect_reachable,
     slope_condition,
     spanning_sequence,
@@ -21,26 +19,6 @@ from gapembed import (
 from gapembed.errors import StructureError
 
 from conftest import binary_sequences, run_capped_sequence
-
-
-# ------------------------------------------------------------- intervals
-
-
-def _points(interval):
-    return set(range(interval.left + 1, interval.right + 1))
-
-
-_nonempty_intervals = st.integers(-1, 12).flatmap(
-    lambda left: st.builds(Interval, st.just(left), st.integers(left + 1, 14))
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_nonempty_intervals, _nonempty_intervals)
-def test_interval_relations_are_integer_point_relations(a, b):
-    # ]left, right] holds the integer points left+1..right.
-    assert a.intersects(b) == bool(_points(a) & _points(b))
-    assert a.contains_interval(b) == (_points(b) <= _points(a))
 
 
 # ------------------------------------------------------------- walls
@@ -68,29 +46,6 @@ def test_find_walls_matches_direct_enumeration(seq, m):
     got = [(w.body.left, w.body.right) for w in find_walls(seq, m)]
     assert sorted(got) == sorted(expected)
     assert got == sorted(got, key=lambda b: (b[0], b[1] - b[0]))
-
-
-def test_dominant_isolated_run():
-    # one size-m run deep inside alternations
-    seq = BinarySequence.from_string("01010" + "111" + "0101010")
-    walls = find_walls(seq, 3)
-    assert len(walls) == 1
-    assert find_dominant_walls(walls, 2, len(seq)) == walls
-    # a short right flank disqualifies
-    seq2 = BinarySequence.from_string("01010" + "111" + "0")
-    walls2 = find_walls(seq2, 3)
-    assert find_dominant_walls(walls2, 2, len(seq2)) == []
-    # at the start of the half-line the left flank may be short
-    seq3 = BinarySequence.from_string("111" + "0101010")
-    walls3 = find_walls(seq3, 3)
-    assert find_dominant_walls(walls3, 5, len(seq3)) == walls3
-
-
-@settings(max_examples=100, deadline=None)
-@given(binary_sequences(max_length=18), st.integers(2, 3), st.integers(1, 6))
-def test_dominant_contains_intersecting(seq, m, delta):
-    # the containment assertion inside find_dominant_walls is the property
-    find_dominant_walls(find_walls(seq, m), delta, len(seq))
 
 
 # ------------------------------------------------------------- spanning
@@ -153,53 +108,6 @@ def test_spanning_properties(data):
                     )
             prev_end = w.body.right
         assert out[0].body.left == 0 and out[-1].body.right == len(seq)
-
-
-# ------------------------------------------------------------- hops, cleanness
-
-
-def test_hop_check_empty_rect():
-    X = BinarySequence.from_string("0000")
-    Y = BinarySequence.from_string("1111")
-    assert hop_check(((2, 1), (2, 3), "left-open"), X, Y, 2)
-    assert hop_check(((1, 2), (3, 2), "bottom-open"), X, Y, 2)
-
-
-def test_hop_check_corner_mismatch():
-    X = BinarySequence.from_string("0101")
-    Y = BinarySequence.from_string("1010")
-    assert not hop_check(((0, 0), (1, 1), "closed"), X, Y, 3)  # X(1)=0 != Y(1)=1
-    assert hop_check(((0, 0), (1, 2), "closed"), X, Y, 3)  # X(1)=0 == Y(2)=0
-
-
-def _hop_oracle(rect, X, Y, m):
-    (u0, u1), (v0, v1), openness = rect
-    if openness == "left-open" and u0 == v0:
-        return True
-    if openness == "bottom-open" and u1 == v1:
-        return True
-    for w in find_walls(X, m):
-        if u0 <= w.body.left and w.body.right <= v0:
-            return False
-    for w in find_walls(Y, m):
-        if u1 <= w.body.left and w.body.right <= v1:
-            return False
-    return v0 == 0 or v1 == 0 or X.symbol(v0) == Y.symbol(v1)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_hop_check_matches_definition(data):
-    X = data.draw(binary_sequences(min_length=2, max_length=12))
-    Y = data.draw(binary_sequences(min_length=2, max_length=12))
-    m = data.draw(st.integers(1, 3))
-    u0 = data.draw(st.integers(0, len(X) - 1))
-    v0 = data.draw(st.integers(u0, len(X)))
-    u1 = data.draw(st.integers(0, len(Y) - 1))
-    v1 = data.draw(st.integers(u1, len(Y)))
-    openness = data.draw(st.sampled_from(["closed", "left-open", "bottom-open"]))
-    rect = ((u0, u1), (v0, v1), openness)
-    assert hop_check(rect, X, Y, m) == _hop_oracle(rect, X, Y, m)
 
 
 # ------------------------------------------------------------- slope
