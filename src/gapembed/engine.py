@@ -11,11 +11,11 @@ match mask.  The window-OR is a doubling smear: about log2(step_max)
 shift-ORs over the whole mask instead of one shift per allowed step.  One
 generator, `_frontier_masks`, yields the rows of every single-pair DP from a
 start row and a string of Y's symbols: a decision holds one row, and
-`rect_reachable` runs it on a window of X and Y.  The witness trace keeps
-each row's lowest reachable position with the `_WINDOW` bits above it, plus
-a full row every ceil(sqrt(L)) rows (Hirschberg's checkpoints, CACM 1975); a
-query outside a row's window recomputes that row's segment from its
-checkpoint, so the trace holds about 2 sqrt(L) full rows at most.
+`rect_reachable` runs it on a window of X and Y.  The witness trace keeps a
+full row every ceil(sqrt(L)) rows (Hirschberg's checkpoints, CACM 1975) and
+re-runs each stretch of rows between two of them once, on the band of X
+that its predecessor queries can reach, so it holds about sqrt(L) full rows
+and one band.
 
 `embeddable_lanes` runs the same DP for many independent pairs at once, one
 pair per bit lane (shift-and matching, Baeza-Yates & Gonnet 1992).  Arrays
@@ -35,10 +35,6 @@ import numpy as np
 
 from .errors import InputBoundsError, OracleSizeError
 from .sequences import BinarySequence
-
-# Bits the witness trace keeps above each row's lowest reachable position.
-_WINDOW = 256
-
 
 def _checkpoint_spacing(L: int) -> int:
     """Rows between the full rows the witness trace keeps: ceil(sqrt(L))."""
@@ -195,61 +191,43 @@ def extract_embedding(
 
     Deterministic tie-break: the backward trace from row L picks the smallest
     final position, then the smallest valid predecessor at every row.  The
-    forward pass keeps, per row, its lowest reachable position and the
-    `_WINDOW` bits from there up, and a full row every
-    `_checkpoint_spacing(L)` rows.  A predecessor query that reaches past a
-    row's window recomputes the row's segment from the checkpoint below it
-    and keeps that segment while the trace is inside it.  With
-    `with_frontier`, return (row L's frontier, path) from the same DP, for a
-    caller that reports both.
+    forward pass keeps a full row every `_checkpoint_spacing(L)` rows; the
+    trace re-runs each stretch between two of them once, on the band of X
+    its queries can reach.  With `with_frontier`, return (row L's frontier,
+    path) from the same DP, for a caller that reports both.
     """
     L = _prefix_length(Y, m, L)
-    step = min(m, len(X))
     spacing = _checkpoint_spacing(L)
-    keep = (1 << _WINDOW) - 1
-    # Row j's lowest set bit is lows[j]; windows[j] is row j >> lows[j],
-    # cut to _WINDOW bits; checkpoints[c] is row c * spacing.
-    lows, windows, checkpoints = [0], [1], [1]
+    checkpoints = [1]  # checkpoints[c] is row c * spacing
     final = 1
     for j, final in enumerate(_frontier_masks(X, Y.text[:L], m), 1):
-        if not final:
-            break
-        # Every position of row j lies above row j-1's lowest one, and the
-        # lowest usually lies within a step of it.  Cut the row there, then
-        # shift: both cost the cut's length, not the row's.
-        base, span = lows[-1], step + _WINDOW
-        while not (low := (final & ((1 << (base + span)) - 1)) >> base):
-            span *= 2
-        lo = base + (low & -low).bit_length() - 1
-        if lo + _WINDOW > base + span:
-            low = (final & ((1 << (lo + _WINDOW)) - 1)) >> base
-        lows.append(lo)
-        windows.append((low >> (lo - base)) & keep)
         if j % spacing == 0:
             checkpoints.append(final)
     path = None
     if final:
         steps = [0] * L
-        pos = lows[L]
-        seg_start, segment = L, []  # rows seg_start.. recomputed in full
+        pos = (final & -final).bit_length() - 1
+        s, band, base = L, [], 0  # band[r - s] is row r's bits from base up
         for j in range(L, 0, -1):
             steps[j - 1] = pos
             if j > 1:
+                if j - 1 < s:
+                    # The queries at row r in s..j-1 lie in [pos - m(j-r), pos),
+                    # and position p of row r reads only the checkpoint's bits
+                    # in [p - m(r-s), p - (r-s)]: every bit read is at or above
+                    # pos - m(j-s).  The checkpoint has no bit below its lowest
+                    # one, and positions at or above pos never feed lower ones,
+                    # so the band X(base+1..pos) gives every queried bit exactly.
+                    s = (j - 1) // spacing * spacing
+                    start = checkpoints[s // spacing]
+                    base = max(pos - m * (j - s), (start & -start).bit_length() - 1)
+                    window = BinarySequence.from_string(X.text[base:pos])
+                    first = (start >> base) & ((1 << (pos - base + 1)) - 1)
+                    band = [first, *_frontier_masks(window, Y.text[s : j - 1], m, first)]
                 # Row j-1 holds a predecessor in [pos - m, pos - 1]; its
-                # lowest bit there is the smallest.  It has no bits below
-                # lows[j-1], so the window answers whenever pos - 1 falls
-                # inside it.
-                base = lows[j - 1]
-                if pos - base <= _WINDOW:
-                    row = windows[j - 1]
-                else:
-                    if j - 1 < seg_start:
-                        seg_start = (j - 1) // spacing * spacing
-                        start = checkpoints[seg_start // spacing]
-                        segment = [start, *_frontier_masks(X, Y.text[seg_start : j - 1], m, start)]
-                    row, base = segment[j - 1 - seg_start], 0
+                # lowest bit there is the smallest.
                 lo = max(pos - m - base, 0)
-                cands = (row & ((1 << (pos - base)) - 1)) >> lo
+                cands = (band[j - 1 - s] & ((1 << (pos - base)) - 1)) >> lo
                 pos = base + lo + (cands & -cands).bit_length() - 1
         path = EmbeddingPath(tuple(steps), m)
     return (ReachFrontier(L, final), path) if with_frontier else path

@@ -20,6 +20,7 @@ as many trials as keep its Philox block within `_CHUNK_BYTES`.
 from __future__ import annotations
 
 import io
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
@@ -189,11 +190,12 @@ def _estimate_row(plan: TrialPlan, successes: int) -> EstimateRow:
 
 def _pooled_estimates(plans: Sequence[TrialPlan], jobs: int) -> list[EstimateRow]:
     """One row per plan, every plan's trials split in `jobs` ranges and all
-    (plan, range) pieces spread over one process pool."""
+    (plan, range) pieces spread over one process pool of at most one worker
+    per CPU (a fork pool starts every worker at its first submit)."""
     for plan in plans:
         if plan.trials == 0:
             raise UnderpoweredError("plan has zero trials")
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
         futures = []
         for plan in plans:
             size = -(-plan.trials // jobs)

@@ -27,8 +27,6 @@ from .errors import InputBoundsError
 
 RationalLike = Union[int, str, Fraction, float]
 
-#: log2 of the rank base lam = 2^(1/2).
-LAM_LOG2 = Fraction(1, 2)
 #: Lambda in the slope step sigma' = sigma + Lambda * slb^-3 * Delta/Gamma
 LAMBDA = Fraction(10)
 
@@ -134,7 +132,8 @@ class ConstraintCheck:
     """Outcome of one named feasibility constraint.
 
     Each side is an exact value, a list of them, or None; the JSON report
-    gives them as floats, saturating at +-inf past the float range.
+    gives them as floats, and a value past the float range as the string
+    "inf" or "-inf", the CSV's spelling, so the report stays strict JSON.
     """
 
     name: str
@@ -143,10 +142,14 @@ class ConstraintCheck:
     ok: bool
 
     def to_json(self) -> dict:
+        def value(x):
+            f = report_float(x)
+            return f if math.isfinite(f) else str(f)
+
         def side(v):
             if isinstance(v, list):
-                return [report_float(x) for x in v]
-            return None if v is None else report_float(v)
+                return [value(x) for x in v]
+            return None if v is None else value(v)
 
         return {
             "constraint": self.name, "lhs": side(self.lhs), "rhs": side(self.rhs), "ok": self.ok

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import Future
 from dataclasses import asdict
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapembed
-from gapembed import cli, engine
+from gapembed import cli, engine, experiments
 from gapembed.cli import main
 from gapembed.experiments import CSV_HEADER
 from gapembed.params import DEFAULT_EXPONENTS
@@ -89,7 +90,9 @@ def test_embed_witness_runs_one_dp(tmp_path, capsys, monkeypatch, fmt):
     argv = ["embed", "--x", x, "--y", y, "--m", "2", "--format", fmt]
     _, plain, _ = run_cli(capsys, *argv)
     code, out, _ = run_cli(capsys, *argv, "--witness")
-    assert code == 0 and len(calls) == 2
+    # One DP over the whole of X per run: a witness is not a decision plus
+    # a trace.  The trace's band re-runs read shorter windows of X.
+    assert code == 0 and sum(len(a[0]) == 13 for a in calls) == 2
     if fmt == "json":
         doc, base = json.loads(out), json.loads(plain)
         assert doc["frontier"] == base["frontier"] and doc["embeddable"] is True
@@ -388,19 +391,24 @@ def test_params_deep_levels_print_inf(capsys, m):
 
 @pytest.mark.parametrize("field, code", [("delta", 1), ("omega", 0)])
 def test_params_huge_exponent_reports_without_traceback(tmp_path, field, code):
-    # 1e400 is past the float range: the report sides saturate at +-inf.
+    # 1e400 is past the float range: the report sides saturate at +-inf,
+    # written as the strings "inf" and "-inf" so the report is strict JSON.
     expfile = tmp_path / "e.json"
     expfile.write_text(json.dumps({**_DEFAULT_EXPONENTS_JSON, field: "1e400"}))
     proc = run_fresh("params", "--m", "4", "--levels", "2", "--exponents", str(expfile))
     assert proc.returncode == code
     assert proc.stderr == ""
-    report = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    report = json.loads(proc.stdout.rstrip("\n").split("\n")[-1], parse_constant=reject)
     sides = {e["constraint"]: (e["lhs"], e["rhs"]) for e in report}
     if field == "delta":
-        assert sides["exponent-order"][0][0] == math.inf
-        assert sides["chi-delta-cap"][1] == -math.inf
+        assert sides["exponent-order"][0][0] == "inf"
+        assert sides["chi-delta-cap"][1] == "-inf"
     else:
-        assert sides["omega-trap-floor"][1] == math.inf
+        assert sides["omega-trap-floor"][1] == "inf"
         assert proc.stdout.split("\n")[3].startswith("2,")
 
 
@@ -540,6 +548,36 @@ def test_simulate_golden_corpus(capsys, jobs):
     cases = golden["cases"]
     assert {c["trials"] for c in cases} == {63, 64, 65, 1025}
     assert {c["format"] for c in cases} == {"csv", "json"}
+
+
+def test_simulate_pool_is_capped_at_cpu_count(capsys, monkeypatch):
+    # A fork pool starts all of its workers at the first submit, so --jobs
+    # must not set the pool size unchecked.  The trial split still uses
+    # --jobs, and no output byte depends on it.  The stand-in pool runs each
+    # piece at submit and starts no process.
+    workers = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlineExecutor)
+    argv = ["simulate", "--m-range", "1..2", "--L-range", "4..4", "--trials", "5"]
+    _, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
+    code, out, _ = run_cli(capsys, *argv, "--jobs", "100000")
+    assert code == 0 and out == serial
+    assert len(workers) == 1 and 1 <= workers[0] <= (os.cpu_count() or 1)
 
 
 # ------------------------------------------------------------- config, selftest

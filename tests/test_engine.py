@@ -159,7 +159,7 @@ def full_row_trace(X, Y, m, L):
 
     Oracle for `extract_embedding`: the same tie-break, the smallest final
     position and then the smallest valid predecessor at every row, read off
-    full rows instead of windows and recomputed segments.
+    full rows instead of checkpoints and re-run bands.
     """
     masks = [1, *engine._frontier_masks(X, Y.text[:L], m)]
     final = masks[-1]  # row L, or 0 when an earlier row was empty
@@ -177,9 +177,7 @@ def full_row_trace(X, Y, m, L):
     return ReachFrontier(L, final), path
 
 
-@pytest.mark.parametrize(
-    "window, spacing", [(1, 2), (2, 3), (None, None)], ids=["fallback", "edges", "default"]
-)
+@pytest.mark.parametrize("spacing", [2, 3, None], ids=["spacing2", "spacing3", "default"])
 @settings(max_examples=300, deadline=None)
 @given(
     binary_sequences(max_length=40),
@@ -187,13 +185,12 @@ def full_row_trace(X, Y, m, L):
     st.data(),
     st.one_of(st.integers(1, 6), st.just(10**20)),
 )
-def test_witness_trace_matches_full_rows(window, spacing, X, Y, data, m):
-    # A one-bit window and checkpoints every other row send most predecessor
-    # queries through the recomputed segments; (2, 3) moves both boundaries.
+def test_witness_trace_matches_full_rows(spacing, X, Y, data, m):
+    # Checkpoints every other row re-run the most bands; every third row
+    # moves the band boundaries.
     L = data.draw(st.integers(0, len(Y)))
     with pytest.MonkeyPatch.context() as mp:
-        if window is not None:
-            mp.setattr(engine, "_WINDOW", window)
+        if spacing is not None:
             mp.setattr(engine, "_checkpoint_spacing", lambda L: spacing)
         got = extract_embedding(X, Y, m, L, with_frontier=True)
     assert got == full_row_trace(X, Y, m, L)
@@ -202,7 +199,8 @@ def test_witness_trace_matches_full_rows(window, spacing, X, Y, data, m):
 def test_witness_trace_recomputes_past_dead_ends(monkeypatch):
     # Row j reaches j..min(3j, 1000) in the zeros, but only positions near
     # 1000 lead on into the ones: the lowest positions of the zero rows are
-    # dead ends, so the trace leaves their windows and must recompute.
+    # dead ends, so the trace runs far above them.  A band re-run from
+    # checkpoint s at row j reads at most 3 (j - s) symbols of X.
     X = BinarySequence.from_string("0" * 1000 + "1" * 1000)
     Y = BinarySequence.from_string("0" * 400 + "1" * 400)
     expected = full_row_trace(X, Y, 3, len(Y))
@@ -210,14 +208,14 @@ def test_witness_trace_recomputes_past_dead_ends(monkeypatch):
     dp = engine._frontier_masks
     monkeypatch.setattr(engine, "_frontier_masks", lambda *a: calls.append(a) or dp(*a))
     got = extract_embedding(X, Y, 3, with_frontier=True)
-    assert len(calls) > 1, "the trace never left the rows' windows"
+    bands = [len(a[0]) for a in calls[1:]]
+    assert bands and max(bands) <= 3 * engine._checkpoint_spacing(len(Y)), bands
     assert got == expected and got[1] is not None
 
 
-def test_witness_trace_recomputes_just_past_the_window(monkeypatch):
+def test_witness_trace_recomputes_just_past_the_window():
     # Rows 1..4 are {1, 2}, {2, 4}, {4, 5, 6}, {7}.  From 5 in row 3 the
-    # predecessor in row 2 is 4, one past row 2's two-bit window {2, 3}.
-    monkeypatch.setattr(engine, "_WINDOW", 2)
+    # predecessor in row 2 is 4, not 2: the smallest one within a gap of 2.
     X = BinarySequence.from_string("0010001")
     Y = BinarySequence.from_string("0001")
     assert extract_embedding(X, Y, 2).steps == (2, 4, 5, 7)
@@ -331,8 +329,8 @@ def test_witness_holds_few_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Keeping every row would cost ~2,000 rows; the windows, the sqrt(L)
-    # checkpoints and at most one recomputed segment cost far fewer.
+    # Keeping every row would cost ~2,000 rows; the sqrt(L) checkpoints and
+    # one re-run band of at most 12 sqrt(L) bits a row cost far fewer.
     assert path is not None and len(path.steps) == 2_000
     assert peak < 300 * row_bytes, (peak, row_bytes)
 

@@ -1,5 +1,6 @@
-"""Every name a `gapembed` module imports is used there, and every function
-or class the package exports has a caller outside its own tests.
+"""Every name a `gapembed` module imports is used there, every function or
+class the package exports has a caller outside its own tests, and every
+module-level constant is read.
 
 The one exception to the first rule is a name that `bench/tracer.py` looks
 up in that module to rebind it: the tracer traces calls made through that
@@ -69,3 +70,30 @@ def test_every_export_has_a_caller():
     }
     referenced = set().union(*(_referenced_names(path) for path in CALLER_FILES))
     assert exported - referenced == set()
+
+
+def _constants(path: Path) -> set[str]:
+    """UPPER_CASE names bound at a module's top level."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()}
+    return names
+
+
+def _read_names(path: Path) -> set[str]:
+    """Names loaded as a name or attribute; assignments do not count."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_constant_is_read():
+    constants = set().union(*(_constants(path) for path in SRC.glob("*.py")))
+    read = set().union(*(_read_names(path) for path in CALLER_FILES))
+    assert constants - read == set()
