@@ -48,7 +48,7 @@ from .params import (
 )
 from .rng import RNG_ID
 from .sequences import BinarySequence, load_sequence_file
-from .walls import Interval, find_fitting_hole, find_walls, spanning_sequence
+from .walls import Interval, find_fitting_hole, find_walls, spanning_sequence, wall_spans
 
 ENV_SEED = "GAPEMBED_SEED"
 
@@ -220,45 +220,47 @@ def cmd_analyze(args) -> int:
     if args.holes and not args.y:
         print("error: --holes requires --y", file=sys.stderr)
         return 2
+    # Every input is read before the first line, so an input error leaves
+    # stdout empty; from then on each record is written as it is made.
     X = load_sequence_file(args.x)
+    Y = load_sequence_file(args.y) if args.y else None
     m = args.m
     delta = args.delta if args.delta is not None else float(lam_pow(Fraction(3, 10) * m))
-    out = [json.dumps({"meta": _meta()})]
+    out = sys.stdout
+    out.write(json.dumps({"meta": _meta()}) + "\n")
+    out.writelines(_wall_lines(X.text, m, "v"))
+    if Y is not None:
+        out.writelines(_wall_lines(Y.text, m, "h"))
+    if not (args.holes or args.span):
+        return 0
     x_walls = find_walls(X, m, "v")
-    for w in x_walls:
-        out.append(json.dumps(w.to_json()))
-    Y = None
-    if args.y:
-        Y = load_sequence_file(args.y)
-        for w in find_walls(Y, m, "h"):
-            out.append(json.dumps(w.to_json()))
     if args.holes:
         # A wall's first hole depends only on the wall's symbol: search once
         # per symbol and reuse the interval for every later wall.
         holes = {}
         for w in x_walls:
-            symbol = X.text[w.body.left]
+            c, d = w.body.left, w.body.right
+            symbol = X.text[c]
             if symbol not in holes:
                 holes[symbol] = find_fitting_hole(w, range(len(Y)), X, Y)
             hole = holes[symbol]
             if hole is not None:
-                out.append(
-                    json.dumps(
-                        {
-                            "kind": "hole",
-                            "orientation": "h",
-                            "left": hole.left,
-                            "right": hole.right,
-                            "through_left": w.body.left,
-                            "through_right": w.body.right,
-                        }
-                    )
+                out.write(
+                    f'{{"kind": "hole", "orientation": "h", "left": {hole.left}, '
+                    f'"right": {hole.right}, "through_left": {c}, "through_right": {d}}}\n'
                 )
     if args.span:
-        for rec in _span_records(X, x_walls, m, delta):
-            out.append(json.dumps(rec))
-    print("\n".join(out))
+        out.writelines(json.dumps(rec) + "\n" for rec in _span_records(X, x_walls, m, delta))
     return 0
+
+
+def _wall_lines(text, m, orientation):
+    """The JSON line of each wall of `text`, laid out as `json.dumps` writes
+    `WallValue.to_json()`, read straight off the run scan."""
+    head = f'{{"orientation": "{orientation}", "left": '
+    tail = f', "rank": {2 * m}, "kind": "base-run"}}\n'
+    for left, right in wall_spans(text, m):
+        yield f'{head}{left}, "right": {right}{tail}'
 
 
 def _span_records(X, walls, m, delta):
@@ -403,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="emit wall/hole/span structure reports")
     p.add_argument("--x", required=True)
     p.add_argument("--y", default=None)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--holes", action="store_true", help="search holes (needs --y)")
     p.add_argument("--span", action="store_true", help="emit spanning sequences")
     p.add_argument("--delta", type=_gap_threshold, default=None, help="external gap threshold")

@@ -11,7 +11,9 @@ Level-1 semantics throughout this module:
   clean).
 
 Every wall question is answered from the sequence text (`BinarySequence.text`)
-in linear time: walls are read off the maximal runs `0+|1+`, and "a size-m
+in linear time: walls are read off the maximal runs `0+|1+` by `wall_spans`,
+the one run scan, which yields each wall's endpoints without building an
+object (so `analyze` writes its wall lines straight from it), and "a size-m
 wall starts at i", i.e. ]i, i+m] is constant, is the lookahead
 `(?=0{m}|1{m})` matching at text offset i.  Holes through a vertical wall
 ]c, d] are read off Y's text too: the first one is the interval ]a, a+1]
@@ -29,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Literal, Optional
+from typing import Iterator, Literal, Optional
 
 from .engine import rect_reachable  # looked up by name in bench/tracer.py
 from .errors import InputBoundsError, StructureError
@@ -82,6 +84,22 @@ class WallValue:
 _RUNS = re.compile("0+|1+")
 
 
+def wall_spans(text: str, m: int) -> Iterator[tuple[int, int]]:
+    """(left, right) of every wall ]left, right] of a 0/1 text: the constant
+    intervals with m <= right - left < 2m, by left endpoint, then size.
+
+    The one scan of the text's maximal runs behind `find_walls` and the wall
+    lines of `analyze`.  Raises `InputBoundsError` for m < 1 when iterated.
+    """
+    if m < 1:
+        raise InputBoundsError("m must be >= 1")
+    for run in _RUNS.finditer(text):
+        start, stop = run.span()
+        for i in range(start, stop - m + 1):
+            for right in range(i + m, min(i + 2 * m, stop + 1)):
+                yield i, right
+
+
 def find_walls(
     seq: BinarySequence, m: int, orientation: Literal["v", "h"] = "v"
 ) -> list[WallValue]:
@@ -91,15 +109,7 @@ def find_walls(
     All qualifying sub-intervals are listed, not only maximal runs; canonical
     covers come from `spanning_sequence`.
     """
-    if m < 1:
-        raise InputBoundsError("m must be >= 1")
-    walls = []
-    for run in _RUNS.finditer(seq.text):
-        start, stop = run.span()
-        for i in range(start, stop - m + 1):
-            for l in range(m, min(2 * m, stop - i + 1)):
-                walls.append(WallValue(Interval(i, i + l), 2 * m, orientation, "base-run"))
-    return walls
+    return [WallValue(Interval(l, r), 2 * m, orientation) for l, r in wall_spans(seq.text, m)]
 
 
 def _wall_starts(m: int) -> re.Pattern:

@@ -22,7 +22,8 @@ from gapembed import cli, engine, experiments
 from gapembed.cli import main
 from gapembed.experiments import CSV_HEADER
 from gapembed.params import DEFAULT_EXPONENTS
-from gapembed.walls import find_fitting_hole
+from gapembed.sequences import BinarySequence
+from gapembed.walls import find_fitting_hole, find_walls
 
 DATA = Path(__file__).parent / "data"
 
@@ -297,6 +298,81 @@ def test_analyze_holes_short_y(tmp_path, capsys, y_text, holes):
     assert out == _SHORT_Y_WALLS + holes
 
 
+@pytest.mark.parametrize("y_bytes", [None, b"0120\n"], ids=["missing-y", "bad-byte-y"])
+@pytest.mark.parametrize("extra", [(), ("--holes", "--span")], ids=["walls", "holes-span"])
+def test_analyze_bad_y_leaves_stdout_empty(tmp_path, capsys, y_bytes, extra):
+    # X's walls are written as they are made, so Y must be read before the
+    # first line: an input error exits 2 with nothing on stdout.
+    x = write_seq(tmp_path, "x.txt", "0011100")
+    y = tmp_path / "y.txt"
+    if y_bytes is not None:
+        y.write_bytes(y_bytes)
+    code, out, err = run_cli(capsys, "analyze", "--x", x, "--y", str(y), "--m", "2", *extra)
+    assert code == 2 and err.startswith("error: ")
+    assert out == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    x_runs=st.lists(st.integers(1, 14), max_size=20),
+    y_runs=st.lists(st.integers(1, 14), max_size=12),
+    first=st.sampled_from("01"),
+)
+def test_analyze_lines_match_json_dumps(m, x_runs, y_runs, first):
+    # The wall and hole lines are written as f-strings; they must be the
+    # bytes `json.dumps` gives for the records `find_walls` and the hole
+    # search describe, in the same order.
+    def run_text(runs, first):
+        return "".join(str((int(first) + i) % 2) * n for i, n in enumerate(runs))
+
+    X = BinarySequence.from_string(run_text(x_runs, first))
+    Y = BinarySequence.from_string(run_text(y_runs, first))
+    x_walls = find_walls(X, m, "v")
+    lines = [json.dumps({"meta": cli._meta()})]
+    lines += [json.dumps(w.to_json()) for w in x_walls + find_walls(Y, m, "h")]
+    for w in x_walls:
+        hole = find_fitting_hole(w, range(len(Y)), X, Y)
+        if hole is not None:
+            lines.append(json.dumps({
+                "kind": "hole", "orientation": "h", "left": hole.left, "right": hole.right,
+                "through_left": w.body.left, "through_right": w.body.right,
+            }))
+    with tempfile.TemporaryDirectory() as d:
+        x, y = os.path.join(d, "x.txt"), os.path.join(d, "y.txt")
+        for path, seq in ((x, X), (y, Y)):
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(seq.text + "\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["analyze", "--x", x, "--y", y, "--m", str(m), "--holes"])
+    assert code == 0
+    assert out.getvalue() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("extra, calls", [((), 0), (("--holes", "--span"), 1)],
+                         ids=["walls", "holes-span"])
+def test_analyze_builds_wall_objects_only_for_holes_and_spans(tmp_path, capsys, monkeypatch,
+                                                               extra, calls):
+    # Wall lines come from the run scan; `find_walls` runs once, on X, and
+    # only when holes or spans read the wall list.
+    x = write_seq(tmp_path, "x.txt", "0111000110100001111001011100")
+    y = write_seq(tmp_path, "y.txt", "0010111010")
+    argv = ["analyze", "--x", x, "--y", y, "--m", "3", *extra]
+    want = run_cli(capsys, *argv)
+    seen = []
+
+    def counting(seq, m, orientation="v"):
+        if not extra:
+            raise AssertionError("find_walls called for plain wall lines")
+        seen.append(orientation)
+        return find_walls(seq, m, orientation)
+
+    monkeypatch.setattr(cli, "find_walls", counting)
+    assert run_cli(capsys, *argv) == want
+    assert seen == ["v"] * calls
+
+
 # ------------------------------------------------------------- params
 
 
@@ -445,13 +521,17 @@ def test_params_golden_corpus(tmp_path, capsys):
         ("params", "--m", "4", "--levels", "-3"),
         ("simulate", "--trials", "5", "--jobs", "0"),
         ("simulate", "--trials", "5", "--jobs", "-1"),
+        ("analyze", "--x", "x.txt", "--m", "0"),
+        ("analyze", "--x", "x.txt", "--m", "-1"),
     ],
 )
 def test_nonpositive_counts_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "must be >= 1" in captured.err
+    assert captured.out == ""
 
 
 # ------------------------------------------------------------- simulate
@@ -936,3 +1016,5 @@ def test_main_exit_codes_are_contract(data):
             except SystemExit as exc:  # argparse rejects the command line
                 code = 0 if exc.code is None else exc.code
         assert code in (0, 1, 2), (argv, code, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "", (argv, err.getvalue())

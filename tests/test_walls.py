@@ -16,7 +16,7 @@ from gapembed import (
     slope_condition,
     spanning_sequence,
 )
-from gapembed.errors import StructureError
+from gapembed.errors import InputBoundsError, StructureError
 
 from conftest import binary_sequences, run_capped_sequence
 
@@ -33,6 +33,12 @@ def test_find_walls_0000_m2():
     bodies = [(w.body.left, w.body.right) for w in walls]
     assert bodies == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
     assert all(w.rank == 4 and w.kind == "base-run" for w in walls)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_find_walls_rejects_m_below_one(m):
+    with pytest.raises(InputBoundsError, match="m must be >= 1"):
+        find_walls(BinarySequence.from_string("0000"), m)
 
 
 @settings(max_examples=100, deadline=None)
