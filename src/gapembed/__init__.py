@@ -2,10 +2,15 @@
 
 Solver (bitset reachability), level-1 structure analysis (walls, holes,
 spanning covers, base paths), compound walls, the renormalization parameter
-calculus, and a reproducible Monte Carlo harness.
+calculus, and a reproducible Monte Carlo harness.  The harness is imported
+from `gapembed.experiments` and is not re-exported here: it needs numpy,
+which `import gapembed` does not load.
 """
 
 __version__ = "0.1.0"
+# The generator behind every stream of `gapembed.rng`, named in the
+# metadata of every output.
+RNG_ID = "numpy-philox4x64-10"
 
 from .engine import (
     EmbeddingPath,
@@ -15,14 +20,6 @@ from .engine import (
     embeddable_prefix,
     extract_embedding,
     rect_reachable,
-)
-from .experiments import (
-    EstimateRow,
-    TrialPlan,
-    estimate_embed_prob,
-    hole_frequency_check,
-    sweep,
-    wall_frequency_check,
 )
 from .params import (
     DEFAULT_EXPONENTS,

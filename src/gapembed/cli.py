@@ -21,7 +21,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import RNG_ID, __version__
 from .engine import (
     brute_force_reachable,
     check_embedding,
@@ -29,14 +29,6 @@ from .engine import (
     extract_embedding,
 )
 from .errors import GapembedError
-from .experiments import (
-    TrialPlan,
-    estimate_embed_prob,
-    hole_frequency_check,
-    rows_to_csv,
-    sweep,
-    wall_frequency_check,
-)
 from .params import (
     DEFAULT_EXPONENTS,
     ExponentTuple,
@@ -46,7 +38,6 @@ from .params import (
     report_float,
     verify_exponents,
 )
-from .rng import RNG_ID
 from .sequences import BinarySequence, load_sequence_file
 from .walls import Interval, find_fitting_hole, find_walls, spanning_sequence, wall_spans
 
@@ -315,6 +306,9 @@ def cmd_params(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # `experiments` imports numpy; only simulate and selftest load it.
+    from .experiments import hole_frequency_check, rows_to_csv, sweep, wall_frequency_check
+
     seed = args.seed if args.seed is not None else _default_seed()
     if args.check is not None:
         if args.check == "walls":
@@ -340,6 +334,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .experiments import TrialPlan, estimate_embed_prob
+
     print(f"# gapembed {__version__} selftest rng_id={RNG_ID}")
     failures = 0
 

@@ -15,14 +15,9 @@ start row and a string of Y's symbols: a decision holds one row, and
 full row every ceil(sqrt(L)) rows (Hirschberg's checkpoints, CACM 1975) and
 re-runs each stretch of rows between two of them once, on the band of X
 that its predecessor queries can reach, so it holds about sqrt(L) full rows
-and one band.
-
-`embeddable_lanes` runs the same DP for many independent pairs at once, one
-pair per bit lane (shift-and matching, Baeza-Yates & Gonnet 1992).  Arrays
-are uint64 with one row per position and one column per word of 64 lanes:
-bit k of word w in row i is symbol i + 1 (or, for the reach state,
-position i) of the pair in lane 64w + k.  The smear then runs along the
-position axis, and the match of row j is XNOR(X lanes, Y(j)'s lane word).
+and one band.  The module is pure Python: the sweep's lane kernel, which
+runs this DP for many pairs at once in numpy, is
+`gapembed.experiments.embeddable_lanes`.
 """
 
 from __future__ import annotations
@@ -30,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, Optional
-
-import numpy as np
 
 from .errors import InputBoundsError, OracleSizeError
 from .sequences import BinarySequence
@@ -143,40 +136,6 @@ def embeddable_prefix(
     for mask in _frontier_masks(X, Y.text[:L], m):
         pass
     return mask != 0, ReachFrontier(L, mask)
-
-
-def embeddable_lanes(
-    x_lanes: np.ndarray, y_lanes: np.ndarray, m: int, lanes: int
-) -> int:
-    """Decide m-embeddability of the whole Y for every lane at once.
-
-    `x_lanes` is (len(X), W) and `y_lanes` is (L, W), both uint64 in the lane
-    layout of the module docstring.  Lanes `lanes` and up of the last word
-    are padding and never survive.  Returns the surviving lanes as an int:
-    bit t is set iff the Y of lane t embeds into its X.
-    """
-    if m < 1:
-        raise InputBoundsError("m must be >= 1")
-    n, words = x_lanes.shape
-    live = ((1 << lanes) - 1).to_bytes(8 * words, "little")
-    reach = np.zeros((n + 1, words), dtype=np.uint64)
-    reach[0] = np.frombuffer(live, dtype="<u8")
-    smear = np.empty_like(reach)
-    match = np.empty_like(x_lanes)
-    for y in y_lanes:
-        np.copyto(smear, reach)
-        covered = 1
-        while covered < m:
-            take = min(covered, m - covered)
-            smear[take:] |= smear[:-take]
-            covered += take
-        np.bitwise_xor(x_lanes, ~y, out=match)
-        np.bitwise_and(smear[:-1], match, out=reach[1:])
-        reach[0] = 0
-        if not reach.any():
-            return 0
-    survivors = np.bitwise_or.reduce(reach, axis=0)
-    return int.from_bytes(survivors.astype("<u8").tobytes(), "little")
 
 
 def extract_embedding(

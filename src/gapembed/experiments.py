@@ -5,16 +5,25 @@ Reproducibility contract: every trial's randomness is a pure function of
 `gapembed.rng`), so results do not depend on execution order, chunking, or
 worker count.  Aggregation is a commutative sum of per-trial indicators.
 
-A sweep decides its trials in chunks of bit lanes: trial start + 64w + k of
-a chunk is lane k of word w, and bit i of its stream (X(i + 1) for
-i < x_length, then Y) is bit k of word w in row i of the chunk's lane array
-(see `gapembed.engine.embeddable_lanes`).  A chunk's streams are drawn in
-one vectorised pass (`gapembed.rng.stream_block`) and turned into lanes by a
-64x64 bit transpose of masked swaps on whole uint64 arrays; a chunk holds
-as many trials as keep its Philox block within `_CHUNK_BYTES`.
+A sweep decides its trials in chunks of bit lanes.  `embeddable_lanes`
+runs the DP of `gapembed.engine` for many independent pairs at once, one
+pair per bit lane (shift-and matching, Baeza-Yates & Gonnet 1992).  Arrays
+are uint64 with one row per position and one column per word of 64 lanes:
+bit k of word w in row i is symbol i + 1 (or, for the reach state,
+position i) of the pair in lane 64w + k.  The smear then runs along the
+position axis, and the match of row j is XNOR(X lanes, Y(j)'s lane word).
+Trial start + 64w + k of a chunk is lane k of word w, and bit i of its
+stream (X(i + 1) for i < x_length, then Y) is row i of that lane.  A
+chunk's streams are drawn in one vectorised pass
+(`gapembed.rng.stream_block`) and turned into lanes by a 64x64 bit
+transpose of masked swaps on whole uint64 arrays; a chunk holds as many
+trials as keep its Philox block within `_CHUNK_BYTES`.
 `TrialPlan.trial_sequences` gives the same trial as a `BinarySequence` pair.
 `sweep` is the one entry to a process pool: with `jobs > 1` it spreads every
-(cell, trial range) over one pool.
+(cell, trial range) over one pool.  This module and `gapembed.rng` are the
+package's only numpy users; `gapembed.cli` imports this one inside
+`simulate` and `selftest` alone, so every other subcommand starts without
+numpy.
 """
 
 from __future__ import annotations
@@ -28,11 +37,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
-from .engine import embeddable_lanes
+from . import RNG_ID, __version__
 from .engine import embeddable_prefix  # looked up by name in bench/tracer.py
 from .errors import InputBoundsError, UnderpoweredError
-from .rng import RNG_ID, philox, stream_bits, stream_block
+from .rng import philox, stream_bits, stream_block
 from .sequences import BinarySequence
 from .stats import wilson_interval
 from .walls import Interval, WallValue, find_fitting_hole
@@ -156,6 +164,40 @@ def _trial_lanes(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
     lanes = np.ascontiguousarray(block.reshape(groups, 64, nwords).transpose(2, 1, 0))
     _transpose64(lanes)
     return lanes.reshape(64 * nwords, groups)[:nbits]
+
+
+def embeddable_lanes(
+    x_lanes: np.ndarray, y_lanes: np.ndarray, m: int, lanes: int
+) -> int:
+    """Decide m-embeddability of the whole Y for every lane at once.
+
+    `x_lanes` is (len(X), W) and `y_lanes` is (L, W), both uint64 in the lane
+    layout of the module docstring.  Lanes `lanes` and up of the last word
+    are padding and never survive.  Returns the surviving lanes as an int:
+    bit t is set iff the Y of lane t embeds into its X.
+    """
+    if m < 1:
+        raise InputBoundsError("m must be >= 1")
+    n, words = x_lanes.shape
+    live = ((1 << lanes) - 1).to_bytes(8 * words, "little")
+    reach = np.zeros((n + 1, words), dtype=np.uint64)
+    reach[0] = np.frombuffer(live, dtype="<u8")
+    smear = np.empty_like(reach)
+    match = np.empty_like(x_lanes)
+    for y in y_lanes:
+        np.copyto(smear, reach)
+        covered = 1
+        while covered < m:
+            take = min(covered, m - covered)
+            smear[take:] |= smear[:-take]
+            covered += take
+        np.bitwise_xor(x_lanes, ~y, out=match)
+        np.bitwise_and(smear[:-1], match, out=reach[1:])
+        reach[0] = 0
+        if not reach.any():
+            return 0
+    survivors = np.bitwise_or.reduce(reach, axis=0)
+    return int.from_bytes(survivors.astype("<u8").tobytes(), "little")
 
 
 def _count_successes(plan: TrialPlan, start: int, stop: int) -> int:

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-RNG_ID = "numpy-philox4x64-10"
-
 _MASK64 = (1 << 64) - 1
 
 # Philox4x64 round multipliers and Weyl key increments (Random123).

@@ -22,18 +22,20 @@ from gapembed import (
     construct_base_path,
     embeddable_prefix,
     extract_embedding,
-    hole_frequency_check,
     rect_reachable,
     verify_exponents,
-    wall_frequency_check,
     DEFAULT_EXPONENTS,
     ExponentTuple,
     Interval,
-    TrialPlan,
     WallValue,
-    estimate_embed_prob,
 )
 from gapembed.cli import main
+from gapembed.experiments import (
+    TrialPlan,
+    estimate_embed_prob,
+    hole_frequency_check,
+    wall_frequency_check,
+)
 from gapembed.params import CONSTRAINT_NAMES
 
 from conftest import run_capped_sequence

@@ -846,31 +846,35 @@ def test_analyze_span_records_only_spans(m, first, runs, delta):
     assert bool(spans) == any(r["kind"] == "base-run" for r in records)
 
 
-# ------------------------------------------------------------- numpy.random
+# ------------------------------------------------------------- numpy, numpy.random
 
-# Importing numpy.random costs about 6 MB of resident memory.  Commands that
-# draw no single stream through a numpy Generator must not pay it.
+# Importing numpy costs about 0.1 s and 14 MB of resident memory, and
+# numpy.random about 6 MB more.  Only simulate and selftest need numpy, and
+# only commands that draw a single stream through a numpy Generator need
+# numpy.random: no other command may pay for them.
 _PROBE = (
     "import sys\n"
     "from gapembed.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(code, 'numpy.random' in sys.modules)\n"
+    "print(code, 'numpy.random' in sys.modules, 'numpy' in sys.modules)\n"
 )
 
 
 @pytest.mark.parametrize(
-    "argv, loads",
+    "argv, loads_random, loads_numpy",
     [
-        (["embed", "--x", "{x}", "--y", "{y}", "--m", "4", "--witness"], False),
-        (["analyze", "--x", "{x}", "--y", "{y}", "--m", "3", "--holes", "--span"], False),
-        (["simulate", "--m-range", "1..3", "--L-range", "8..8", "--trials", "100"], False),
+        (["embed", "--x", "{x}", "--y", "{y}", "--m", "4"], False, False),
+        (["embed", "--x", "{x}", "--y", "{y}", "--m", "4", "--witness"], False, False),
+        (["analyze", "--x", "{x}", "--y", "{y}", "--m", "3", "--holes", "--span"], False, False),
+        (["params", "--m", "4", "--levels", "3"], False, False),
+        (["simulate", "--m-range", "1..3", "--L-range", "8..8", "--trials", "100"], False, True),
         # The wall check draws raw words from numpy.random's Philox: the probe
         # sees it.
-        (["simulate", "--check", "walls", "--samples", "10"], True),
+        (["simulate", "--check", "walls", "--samples", "10"], True, True),
     ],
-    ids=["embed", "analyze", "simulate", "check-walls"],
+    ids=["embed-text", "embed", "analyze", "params", "simulate", "check-walls"],
 )
-def test_numpy_random_stays_unloaded(tmp_path, argv, loads):
+def test_numpy_random_stays_unloaded(tmp_path, argv, loads_random, loads_numpy):
     files = {
         "x": write_seq(tmp_path, "x.txt", "0111000110100001111001011100"),
         "y": write_seq(tmp_path, "y.txt", "0010111010"),
@@ -882,7 +886,7 @@ def test_numpy_random_stays_unloaded(tmp_path, argv, loads):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {loads}"
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_random} {loads_numpy}"
 
 
 # ------------------------------------------------------------- exit-code fuzz
@@ -946,10 +950,8 @@ _SEQ_BYTES = st.one_of(
     st.text("01", max_size=30).map(lambda t: t.encode() + b"\n"),
     st.binary(max_size=8),
 )
-_EXPONENTS = st.sampled_from([
-    json.dumps({k: str(v) for k, v in asdict(DEFAULT_EXPONENTS).items()}),
-    "{", "[]", "{}", '{"delta": "x"}', "null",
-])
+_EXPONENTS_TEXT = json.dumps({k: str(v) for k, v in asdict(DEFAULT_EXPONENTS).items()})
+_EXPONENTS = st.sampled_from([_EXPONENTS_TEXT, "{", "[]", "{}", '{"delta": "x"}', "null"])
 # Value lists per flag of each subcommand: None marks a file, () a switch.
 _FLAGS = {
     "embed": {"--x": None, "--y": None, "--m": _GAP, "--L": ["-2", "0", "3", "12", "x"],
@@ -963,13 +965,58 @@ _FLAGS = {
                  "--format": ["csv", "json", "tsv"], "--check": ["walls", "holes", "both"],
                  "--m-check": _SMALL, "--l": _SMALL, "--config": None},
 }
+# Config lines each command accepts, and lines every command rejects.
 _CONFIG_LINES = {
-    "embed": ["m=2", "witness=true", "witness=maybe", "format=json"],
+    "embed": ["m=2", "witness=true", "format=json"],
     "analyze": ["m=2", "holes=yes", "span=0", "delta=1"],
     "params": ["m=3", "levels=2"],
-    "simulate": ["m-range=1..2", "L_range=2", "seed=4", "x-length=-2"],
+    "simulate": ["m-range=1..2", "L_range=2", "seed=4"],
 }
+_BAD_CONFIG_LINES = ["bogus=1", "noequals", "witness=maybe", "x-length=-2"]
 _FILES = {"--x": "x.txt", "--y": "y.txt", "--exponents": "exp.json", "--config": "run.conf"}
+# The flags that let each command reach its work, with values it accepts:
+# the files it reads (None) and the gap bound.
+_READS = {
+    "embed": {"--x": None, "--y": None, "--m": ["1", "2", "4", HUGE_M]},
+    "analyze": {"--x": None, "--y": None, "--m": ["1", "2", "4", HUGE_M]},
+    "params": {"--m": ["2", "4", "12"], "--exponents": None},
+    "simulate": {"--config": None},
+}
+# Contents that each file flag must reject, besides no file and a directory.
+_BAD_FILES = {
+    "--x": [b"01x", b"0\n1", b"\xff"],
+    "--y": [b"01x", b"0\n1", b"\xff"],
+    "--exponents": [b"{", b"[]", b'{"delta": "x"}', b"\xff"],
+    "--config": [b"bogus=1", b"noequals", b"m=\xff"],
+}
+
+
+def _file_contents(data, flag, command, wanted):
+    """Bytes of the file behind `flag`, None for a missing file, or "dir".
+
+    `wanted` is "good" for a file the command reads without complaint, "bad"
+    for one it must reject, or None for either, a missing file one time in
+    ten."""
+    if wanted == "bad":
+        return data.draw(st.sampled_from([None, "dir", *_BAD_FILES[flag]]))
+    if wanted is None and not data.draw(st.integers(0, 9)):
+        return None
+    if flag == "--config":
+        pool = _CONFIG_LINES[command]
+        if wanted is None:
+            pool = pool + _BAD_CONFIG_LINES + ["# note", ""]
+        return "\n".join(data.draw(st.lists(st.sampled_from(pool), max_size=3))).encode()
+    if flag == "--exponents":
+        return (data.draw(_EXPONENTS) if wanted is None else _EXPONENTS_TEXT).encode()
+    return data.draw(_SEQ_BYTES if wanted is None else st.text("01", max_size=30).map(str.encode))
+
+
+def _strict_json(line):
+    """`json.loads`, failing on the non-standard NaN and Infinity tokens."""
+    def reject(name):
+        raise AssertionError(f"non-standard JSON constant {name} in {line!r}")
+
+    return json.loads(line, parse_constant=reject)
 
 
 @settings(max_examples=500, deadline=None)
@@ -978,21 +1025,25 @@ def test_main_exit_codes_are_contract(data):
     command = data.draw(st.sampled_from(["embed", "analyze", "params", "simulate", "simulate"]))
     flags = _FLAGS[command]
     chosen = data.draw(st.permutations([f for f in flags if data.draw(st.booleans())]))
+    # Half the draws give the command every file it reads and a valid gap
+    # bound, with every file valid but one, so output written before the bad
+    # file is read shows on stdout.
+    bad = None
+    if data.draw(st.booleans()):
+        flags = {**flags, **_READS[command]}
+        chosen = [*(f for f in _READS[command] if f not in chosen), *chosen]
+        bad = data.draw(st.sampled_from([f for f in chosen if f in _FILES]))
     with tempfile.TemporaryDirectory() as d:
         argv = [command]
         for flag in chosen:
             values = flags[flag]
             if flag in _FILES:
                 path = os.path.join(d, _FILES[flag])
-                if data.draw(st.integers(0, 9)):  # else the file is missing
-                    if flag == "--config":
-                        extra = ["bogus=1", "noequals", "# note", ""]
-                        lines = st.sampled_from(_CONFIG_LINES[command] + extra)
-                        raw = "\n".join(data.draw(st.lists(lines, max_size=3))).encode()
-                    elif flag == "--exponents":
-                        raw = data.draw(_EXPONENTS).encode()
-                    else:
-                        raw = data.draw(_SEQ_BYTES)
+                wanted = None if bad is None else "bad" if flag == bad else "good"
+                raw = _file_contents(data, flag, command, wanted)
+                if raw == "dir":
+                    os.mkdir(path)
+                elif raw is not None:
                     with open(path, "wb") as fh:
                         fh.write(raw)
                 argv.append(f"{flag}={path}")
@@ -1018,3 +1069,6 @@ def test_main_exit_codes_are_contract(data):
         assert code in (0, 1, 2), (argv, code, err.getvalue())
         if code == 2:
             assert out.getvalue() == "", (argv, err.getvalue())
+        for line in out.getvalue().splitlines():
+            if line.startswith("{"):
+                _strict_json(line)

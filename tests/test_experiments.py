@@ -6,20 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapembed import (
-    BinarySequence,
+from gapembed import RNG_ID, BinarySequence, __version__, experiments, find_walls
+from gapembed.errors import InputBoundsError, UnderpoweredError
+from gapembed.experiments import (
+    CSV_HEADER,
     EstimateRow,
     TrialPlan,
     estimate_embed_prob,
-    find_walls,
     hole_frequency_check,
+    rows_to_csv,
     sweep,
     wall_frequency_check,
 )
-from gapembed.errors import InputBoundsError, UnderpoweredError
-from gapembed import __version__, experiments
-from gapembed.experiments import CSV_HEADER, rows_to_csv
-from gapembed.rng import RNG_ID, philox, stream_bits
+from gapembed.rng import philox, stream_bits
 from gapembed.stats import wilson_interval
 
 

@@ -10,10 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
-from gapembed import BinarySequence, TrialPlan, brute_force_reachable, embeddable_prefix
+from gapembed import BinarySequence, brute_force_reachable, embeddable_prefix
 from gapembed import experiments, rng
-from gapembed.engine import embeddable_lanes
-from gapembed.experiments import _count_successes, _trial_lanes, sweep
+from gapembed.experiments import (
+    TrialPlan,
+    _count_successes,
+    _trial_lanes,
+    embeddable_lanes,
+    sweep,
+)
 
 
 def pack_lanes(rows: list[int], lanes: int) -> np.ndarray:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapembed import experiments, wall_frequency_check
+from gapembed import experiments
+from gapembed.experiments import wall_frequency_check
 from gapembed.rng import stream_bits, stream_block, stream_bytes, stream_words
 
 COORDS = [(0, 0, 0), (1, 2, 16), (999, 8, 128), (2**63 - 1, 7, 5)]
