@@ -22,20 +22,21 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
-        rows = level_table(base_params(args.m), args.levels)
+        base = base_params(args.m)
+        levels = level_table(base, args.levels)
     except GapembedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print("level  R            log_Delta    sigma_x        q_tri     q_inv     facts")
-    for p, facts in rows:
-        notes = [] if facts.delta_ratio_ok else ["delta-ratio"]
-        notes.extend(facts.slope_violations)
+    for p in levels:
+        notes = p.stepping_violations()
         print(
             f"{p.level:<6d} {report_float(p.R):<12.4f} {report_float(p.log_Delta):<12.4f} "
             f"{p.sigma_x:<14.6g} {p.q_tri:<9.4f} {p.q_inv:<9.4f} "
             f"{'ok' if not notes else ';'.join(notes)}"
         )
-    print(f"feasibility horizon: level {feasibility_horizon(rows)}")
+    # A second pass over the stream, which stops at the first failing level.
+    print(f"feasibility horizon: level {feasibility_horizon(level_table(base, args.levels))}")
     return 0
 
 

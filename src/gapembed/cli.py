@@ -15,6 +15,8 @@ so explicit flags win, and an unknown key exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -129,16 +131,16 @@ def _config_argv(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
 
 
 def _load_exponents(path: str) -> ExponentTuple:
-    fields = ("delta", "gamma", "phi", "tau", "tau_prime", "omega", "chi")
+    names = [f.name for f in dataclasses.fields(ExponentTuple)]
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise GapembedError(f"{path}: expected a JSON object of exponents")
-        missing = [f for f in fields if f not in data]
+        missing = [name for name in names if name not in data]
         if missing:
             raise GapembedError(f"exponents file lacks fields: {', '.join(missing)}")
-        return ExponentTuple(**{f: Fraction(str(data[f])) for f in fields})
+        return ExponentTuple(**{name: Fraction(str(data[name])) for name in names})
     except (ValueError, ZeroDivisionError) as exc:
         raise GapembedError(f"{path}: {exc}") from None
 
@@ -163,13 +165,11 @@ def _gap_threshold(text: str) -> float:
     return value
 
 
-def _write_out(path, text: str) -> None:
-    """Write text to the file at path, or to stdout for None or "-"."""
+def _open_out(path):
+    """The file at path opened for writing, or stdout (not closed on exit) for None or "-"."""
     if path in (None, "-"):
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 # ---------------------------------------------------------------- embed
@@ -280,25 +280,26 @@ def _span_records(X, walls, m, delta):
 
 
 def cmd_params(args) -> int:
-    exponents = (
-        _load_exponents(args.exponents) if args.exponents else DEFAULT_EXPONENTS
-    )
+    exponents = _load_exponents(args.exponents) if args.exponents else DEFAULT_EXPONENTS
     report = verify_exponents(exponents)
-    lines = [f"# gapembed {__version__} params m={args.m} levels={args.levels}"]
-    lines.append(PARAMS_CSV_HEADER)
-    if report.passed:
-        for p, _facts in level_table(base_params(args.m, exponents), args.levels):
-            lines.append(
+    levels = level_table(base_params(args.m, exponents), args.levels) if report.passed else ()
+    # Checks run and both destinations (--report= is stdout too) open before
+    # the first line, so an error leaves stdout empty; then rows stream out.
+    with _open_out(args.out) as out, _open_out(args.report or None) as report_out:
+        to_files = sys.stdout not in (out, report_out) and os.path.isfile(args.out)
+        if to_files and os.path.samefile(args.out, args.report):
+            raise GapembedError("--out and --report name the same file")
+        out.write(f"# gapembed {__version__} params m={args.m} levels={args.levels}\n")
+        out.write(PARAMS_CSV_HEADER + "\n")
+        for p in levels:
+            out.write(
                 f"{p.level},{report_float(p.R)!r},{p.T!r},{p.Delta!r},{p.Gamma!r},"
                 f"{p.Phi!r},{p.Psi!r},{p.w!r},{p.q_tri!r},{p.q_inv!r},"
-                f"{p.sigma_x!r},{p.sigma_y!r}"
+                f"{p.sigma_x!r},{p.sigma_y!r}\n"
             )
-    _write_out(args.out, "\n".join(lines) + "\n")
-    report_text = json.dumps(report.to_json()) + "\n"
-    report_path = args.report or None  # --report= also means stdout
-    if report_path in (None, "-") and args.out in (None, "-"):
-        report_text = "\n" + report_text  # blank line between CSV and report
-    _write_out(report_path, report_text)
+        if report_out is out:
+            out.write("\n")  # blank line between CSV and report on stdout
+        report_out.write(json.dumps(report.to_json()) + "\n")
     return 0 if report.passed else 1
 
 
@@ -326,7 +327,8 @@ def cmd_simulate(args) -> int:
             text = "\n".join(lines) + "\n"
         else:
             text = rows_to_csv(rows)
-    _write_out(args.out, text)
+    with _open_out(args.out) as out:
+        out.write(text)
     return 0
 
 

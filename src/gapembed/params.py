@@ -12,16 +12,22 @@ bounds additively:
     sigma' = sigma + Lambda * slb^-3 * Delta/Gamma
     q'     = q + Delta' / T
 
-Lambda has no canonical value; it is fixed at 10 (`LAMBDA`).
+Lambda has no canonical value; it is fixed at 10 (`LAMBDA`).  The float
+factor Lambda * slb^-3 = Lambda * (2m)^3 of every step caps m at about 1.3e102.
+
+`level_table` makes one level at a time: the `params` subcommand opens --out
+and --report first, then writes each CSV row as its level is made, holding
+about one level.  Stepping facts are computed only on request
+(`LevelParams.stepping_violations`).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InputBoundsError
 
@@ -101,11 +107,11 @@ class ExponentTuple:
     chi: Fraction
 
     def __post_init__(self):
-        for name in ("delta", "gamma", "phi", "tau", "tau_prime", "omega", "chi"):
-            val = _frac(getattr(self, name))
+        for field in fields(self):
+            val = _frac(getattr(self, field.name))
             if val <= 0:
-                raise InputBoundsError(f"exponent {name} must be positive")
-            object.__setattr__(self, name, val)
+                raise InputBoundsError(f"exponent {field.name} must be positive")
+            object.__setattr__(self, field.name, val)
 
     @property
     def tau_bar(self) -> Optional[Fraction]:
@@ -291,9 +297,13 @@ class LevelParams:
     def w(self) -> float:
         return 0.0 if self.w_log is None else lam_pow(self.w_log)
 
-    def slope_sanity(self) -> list[str]:
-        """Names of violated slope and cleanness bounds at this level."""
+    def stepping_violations(self) -> list[str]:
+        """Names of the stepping facts that fail at this level: "delta-ratio"
+        (Delta_k / Delta_{k+1} = lam^(delta*R*(1 - tau)) < slb^2/2, compared
+        exactly in exponent space), then the slope and cleanness bounds."""
         bad = []
+        if cmp_lam_pow(self.log_Delta * (1 - self.exponents.tau), self.slb**2 / 2) >= 0:
+            bad.append("delta-ratio")
         if not 1 / (2 * self.R) <= Fraction(self.sigma_x) / 2:
             bad.append("sigma_x-floor")
         if not Fraction(self.sigma_x) / 2 <= self.slb <= Fraction(self.sigma_x):
@@ -314,6 +324,8 @@ def base_params(m: int, exponents: ExponentTuple = DEFAULT_EXPONENTS) -> LevelPa
     R1 = 2m, q_tri = 0, q_inv = 0.5, w = 0."""
     if m < 2:
         raise InputBoundsError("base level needs m >= 2 (sigma_y >= 2)")
+    if LAMBDA * (2 * m) ** 3 > sys.float_info.max:
+        raise InputBoundsError("base level needs m <= about 1.3e102 (Lambda * (2m)^3 a float)")
     return LevelParams(
         level=1,
         R=Fraction(2 * m),
@@ -348,49 +360,31 @@ def _step(params: LevelParams) -> LevelParams:
     )
 
 
-@dataclass(frozen=True)
-class LevelFacts:
-    """Per-level report of the stepping invariants."""
-
-    level: int
-    delta_ratio_ok: bool  # Delta_k / Delta_{k+1} < slb^2 / 2
-    slope_violations: tuple[str, ...]
-
-
-def level_table(base: LevelParams, k_max: int) -> list[tuple[LevelParams, LevelFacts]]:
-    """k_max levels with their stepping facts: `base`, then one step per
-    row (levels 1..k_max from a level-1 base), under `base.exponents`,
-    which must pass `verify_exponents`.
-
-    delta_ratio compares Delta_k / Delta_{k+1} = lam^(delta*R_k*(1 - tau))
-    against slb^2/2 exactly in exponent space.
-    """
-    exponents = base.exponents
-    report = verify_exponents(exponents)
+def level_table(base: LevelParams, k_max: int) -> Iterator[LevelParams]:
+    """The k_max levels from `base` on, made one at a time: `base`, then one
+    step per level (levels 1..k_max from a level-1 base).  `base.exponents`
+    must pass `verify_exponents`; an infeasible tuple raises here, at the
+    call, not at the first level."""
+    report = verify_exponents(base.exponents)
     if not report.passed:
         raise InputBoundsError(
             "exponent tuple infeasible: " + ", ".join(report.violations)
         )
-    rows = []
-    params = base
-    for _ in range(k_max):
-        ratio_log = exponents.delta * params.R * (1 - exponents.tau)
-        facts = LevelFacts(
-            level=params.level,
-            delta_ratio_ok=cmp_lam_pow(ratio_log, base.slb**2 / 2) < 0,
-            slope_violations=tuple(params.slope_sanity()),
-        )
-        rows.append((params, facts))
-        if len(rows) < k_max:
+    return _levels(base, k_max)
+
+
+def _levels(params: LevelParams, k_max: int) -> Iterator[LevelParams]:
+    for k in range(k_max):
+        if k:
             params = _step(params)
-    return rows
+        yield params
 
 
-def feasibility_horizon(rows: Sequence[tuple[LevelParams, LevelFacts]]) -> int:
+def feasibility_horizon(levels: Iterable[LevelParams]) -> int:
     """Last level before any stepping fact fails (0 when level 1 already fails)."""
     horizon = 0
-    for params, facts in rows:
-        if not facts.delta_ratio_ok or facts.slope_violations:
+    for params in levels:
+        if params.stepping_violations():
             break
         horizon = params.level
     return horizon

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapembed
-from gapembed import cli, engine, experiments
+from gapembed import cli, engine, experiments, params
 from gapembed.cli import main
 from gapembed.experiments import CSV_HEADER
 from gapembed.params import DEFAULT_EXPONENTS
@@ -488,7 +488,7 @@ def test_params_huge_exponent_reports_without_traceback(tmp_path, field, code):
         assert proc.stdout.split("\n")[3].startswith("2,")
 
 
-def test_params_golden_corpus(tmp_path, capsys):
+def _check_params_golden(tmp_path, capsys):
     # sha256 of `params` stdout, recorded before the unused LevelParams and
     # base_params knobs were cut: m 2/4/10/40, --levels 1/3/12/1300; plus
     # the --out and --report file bytes of one case.
@@ -512,6 +512,83 @@ def test_params_golden_corpus(tmp_path, capsys):
     assert code == files["exit"] and out == files["stdout"]
     assert out_csv.read_text(encoding="utf-8") == files["out"]
     assert out_json.read_text(encoding="utf-8") == files["report"]
+
+
+def test_params_golden_corpus(tmp_path, capsys):
+    _check_params_golden(tmp_path, capsys)
+
+
+def test_params_computes_no_stepping_fact(tmp_path, capsys, monkeypatch):
+    # The stepping facts are for scripts/param_table.py; the CSV reads none.
+    def refuse(*args):
+        raise AssertionError("params computed a stepping fact")
+
+    monkeypatch.setattr(params.LevelParams, "stepping_violations", refuse)
+    monkeypatch.setattr(params, "cmp_lam_pow", refuse)
+    _check_params_golden(tmp_path, capsys)
+
+
+def test_params_writes_each_row_as_its_level_is_made(monkeypatch):
+    # When level 2 is made, level 1's row is already on stdout.
+    seen = []
+    step = params._step
+
+    def spy(p):
+        seen.append(buf.getvalue())
+        return step(p)
+
+    monkeypatch.setattr(params, "_step", spy)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["params", "--m", "4", "--levels", "3"]) == 0
+    lines = seen[0].split("\n")
+    assert len(seen) == 2
+    assert lines[1] == cli.PARAMS_CSV_HEADER and lines[2].startswith("1,") and lines[3] == ""
+    assert buf.getvalue().startswith(seen[1]) and seen[1].count("\n") == 4
+
+
+@pytest.mark.parametrize("zeros", [104, 400])
+def test_params_huge_m_exits_two(zeros):
+    # Past about 1.3e102 the slope step's factor Lambda * (2m)^3 leaves the
+    # float range (at 1e400, so does 1/2m): refused before the first line.
+    proc = run_fresh("params", "--m", "1" + "0" * zeros, "--levels", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "out, report",
+    [("-", "missing/r.json"), ("-", "."), ("missing/p.csv", "r.json")],
+    ids=["report-missing", "report-dir", "out-missing"],
+)
+def test_params_unopenable_destination_leaves_stdout_empty(tmp_path, capsys, monkeypatch,
+                                                            out, report):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(
+        capsys, "params", "--m", "4", "--levels", "2", "--out", out, "--report", report
+    )
+    assert code == 2
+    assert stdout == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("report", ["p.csv", "./p.csv", "link.csv"])
+def test_params_out_and_report_on_one_file_exit_two(tmp_path, capsys, monkeypatch, report):
+    # The CSV and the report cannot share a file: refused before any line.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.csv").symlink_to(tmp_path / "p.csv")
+    code, out, err = run_cli(
+        capsys, "params", "--m", "4", "--levels", "2", "--out", "p.csv", "--report", report
+    )
+    assert code == 2
+    assert out == "" and err == "error: --out and --report name the same file\n"
+    assert (tmp_path / "p.csv").read_text() == ""
+
+
+def test_params_out_and_report_may_share_a_device(capsys):
+    # Only a regular file would hold one output over the other.
+    assert run_cli(capsys, "params", "--m", "4", "--levels", "2",
+                   "--out", os.devnull, "--report", os.devnull) == (0, "", "")
 
 
 @pytest.mark.parametrize(
@@ -952,18 +1029,25 @@ _SEQ_BYTES = st.one_of(
 )
 _EXPONENTS_TEXT = json.dumps({k: str(v) for k, v in asdict(DEFAULT_EXPONENTS).items()})
 _EXPONENTS = st.sampled_from([_EXPONENTS_TEXT, "{", "[]", "{}", '{"delta": "x"}', "null"])
+# Output destinations: stdout, two files in the temp dir ({tmp}), and two
+# that cannot be opened, a file in a missing directory and the temp dir
+# itself.  `--report=` also means stdout.
+_UNWRITABLE = ["{tmp}/missing/a.txt", "{tmp}"]
+_OUT = ["-", "{tmp}/a.txt", "{tmp}/b.txt", *_UNWRITABLE]
+_REPORT = [*_OUT, ""]
 # Value lists per flag of each subcommand: None marks a file, () a switch.
 _FLAGS = {
     "embed": {"--x": None, "--y": None, "--m": _GAP, "--L": ["-2", "0", "3", "12", "x"],
               "--witness": (), "--format": ["json", "text", "xml"], "--config": None},
     "analyze": {"--x": None, "--y": None, "--m": _GAP, "--holes": (), "--span": (),
                 "--delta": ["0", "2.5", "-1", "nan", "inf", "x"], "--config": None},
-    "params": {"--m": ["-2", "0", "1", "4", "12", "x"], "--levels": _SMALL,
-               "--exponents": None, "--config": None},
+    "params": {"--m": ["-2", "0", "1", "4", "12", "x", "1" + "0" * 104, "1" + "0" * 400],
+               "--levels": _SMALL, "--exponents": None, "--config": None,
+               "--out": _OUT, "--report": _REPORT},
     "simulate": {"--m-range": _RANGE, "--L-range": _RANGE, "--seed": _SMALL,
                  "--x-length": ["-5", "-1", "0", "3", "20", "x"],
                  "--format": ["csv", "json", "tsv"], "--check": ["walls", "holes", "both"],
-                 "--m-check": _SMALL, "--l": _SMALL, "--config": None},
+                 "--m-check": _SMALL, "--l": _SMALL, "--config": None, "--out": _OUT},
 }
 # Config lines each command accepts, and lines every command rejects.
 _CONFIG_LINES = {
@@ -973,6 +1057,7 @@ _CONFIG_LINES = {
     "simulate": ["m-range=1..2", "L_range=2", "seed=4"],
 }
 _BAD_CONFIG_LINES = ["bogus=1", "noequals", "witness=maybe", "x-length=-2"]
+_DESTINATIONS = ("--out", "--report")
 _FILES = {"--x": "x.txt", "--y": "y.txt", "--exponents": "exp.json", "--config": "run.conf"}
 # The flags that let each command reach its work, with values it accepts:
 # the files it reads (None) and the gap bound.
@@ -1026,13 +1111,13 @@ def test_main_exit_codes_are_contract(data):
     flags = _FLAGS[command]
     chosen = data.draw(st.permutations([f for f in flags if data.draw(st.booleans())]))
     # Half the draws give the command every file it reads and a valid gap
-    # bound, with every file valid but one, so output written before the bad
-    # file is read shows on stdout.
+    # bound, with every file and destination valid but one, so output written
+    # before the bad one is read or opened shows on stdout.
     bad = None
     if data.draw(st.booleans()):
         flags = {**flags, **_READS[command]}
         chosen = [*(f for f in _READS[command] if f not in chosen), *chosen]
-        bad = data.draw(st.sampled_from([f for f in chosen if f in _FILES]))
+        bad = data.draw(st.sampled_from([f for f in chosen if f in _FILES or f in _DESTINATIONS]))
     with tempfile.TemporaryDirectory() as d:
         argv = [command]
         for flag in chosen:
@@ -1050,7 +1135,11 @@ def test_main_exit_codes_are_contract(data):
             elif values == ():
                 argv.append(flag)
             else:
-                argv.append(f"{flag}={data.draw(st.sampled_from(values))}")
+                if flag in _DESTINATIONS and bad is not None:
+                    values = _UNWRITABLE if flag == bad else [
+                        v for v in values if v not in _UNWRITABLE
+                    ]
+                argv.append(f"{flag}={data.draw(st.sampled_from(values)).replace('{tmp}', d)}")
         # The counts that set the amount of work stay small, and --jobs stays
         # 1, so no process pool starts.
         if command == "simulate":

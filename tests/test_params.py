@@ -16,6 +16,9 @@ from gapembed import (
 from gapembed.errors import InputBoundsError
 from gapembed.params import cmp_lam_pow, feasibility_horizon, lam_pow
 
+STEPPING_FACTS = ("delta-ratio", "sigma_x-floor", "slb-between", "sigma_y-floor",
+                  "slope-product", "q-tri-cap", "q-inv-cap")
+
 
 def test_default_tuple_passes_all_constraints():
     report = verify_exponents(DEFAULT_EXPONENTS)
@@ -50,15 +53,16 @@ def test_report_json_schema():
 
 def test_level_one_is_base():
     base = base_params(10)
-    assert level_table(base, 1)[-1][0] == base
+    assert list(level_table(base, 1))[-1] == base
     assert base.R == 20 and base.slb == F(1, 20)
     assert base.sigma_x == 0.05 and base.sigma_y == 10.0
     assert base.q_tri == 0.0 and base.q_inv == 0.5 and base.w == 0.0
-    assert base.slope_sanity() == []
+    # level 1 fails only the delta ratio: no slope or cleanness bound
+    assert base.stepping_violations() == ["delta-ratio"]
 
 
 def test_level_two_rank():
-    p2 = level_table(base_params(10), 2)[-1][0]
+    p2 = list(level_table(base_params(10), 2))[-1]
     assert p2.R == F(35)
     assert p2.level == 2
 
@@ -66,18 +70,25 @@ def test_level_two_rank():
 def test_rank_closed_form():
     base = base_params(6)
     for k in range(1, 9):
-        pk = level_table(base, k)[-1][0]
+        pk = list(level_table(base, k))[-1]
         assert pk.R == F(12) * F(7, 4) ** (k - 1)
 
 
 def test_exponent_space_identities():
     # gamma-spacing makes Delta/Gamma == (Gamma/Phi)^(1/2) exact in exponents.
-    p = level_table(base_params(8), 5)[-1][0]
+    p = list(level_table(base_params(8), 5))[-1]
     lhs = p.log_Delta - p.log_Gamma
     rhs = (p.log_Gamma - p.log_Phi) / 2
     assert lhs == rhs
     assert p.log_Psi == (p.log_Gamma + p.log_Phi) / 2
     assert p.w_log == -DEFAULT_EXPONENTS.omega * p.R
+
+
+def test_base_params_bounds_m_by_the_float_range():
+    # Lambda * slb^-3 = Lambda * (2m)^3, a float factor of every step, stays finite.
+    assert len(list(level_table(base_params(10**102), 3))) == 3
+    with pytest.raises(InputBoundsError, match="1.3e102"):
+        base_params(10**103)
 
 
 def test_infeasible_tuple_propagates():
@@ -88,10 +99,10 @@ def test_infeasible_tuple_propagates():
 
 def test_level_table_and_horizon_m10():
     base = base_params(10)
-    rows = level_table(base, 8)
-    assert [p.level for p, _ in rows] == list(range(1, 9))
+    rows = list(level_table(base, 8))
+    assert [p.level for p in rows] == list(range(1, 9))
     # q and sigma are nondecreasing in the level
-    for (p_lo, _), (p_hi, _) in zip(rows, rows[1:]):
+    for p_lo, p_hi in zip(rows, rows[1:]):
         assert p_hi.q_tri >= p_lo.q_tri and p_hi.q_inv >= p_lo.q_inv
         assert p_hi.sigma_x >= p_lo.sigma_x and p_hi.sigma_y >= p_lo.sigma_y
     horizon = feasibility_horizon(rows)
@@ -99,14 +110,15 @@ def test_level_table_and_horizon_m10():
     # at m = 10 the additive slope correction is enormous: level 2 already
     # violates the slope product, so the horizon stays below 2
     assert horizon < 2
-    # the facts columns exist and are booleans
-    for _, facts in rows:
-        assert isinstance(facts.delta_ratio_ok, bool)
+    # the facts are named, each at most once, in the order they are checked
+    for p in rows:
+        names = p.stepping_violations()
+        assert names == [n for n in STEPPING_FACTS if n in names]
 
 
 def test_large_scale_exponents_stay_exact():
     # w underflows any float at deep levels; the log representation does not.
-    p = level_table(base_params(10), 9)[-1][0]
+    p = list(level_table(base_params(10), 9))[-1]
     assert p.w == 0.0  # underflow in the float view
     assert p.w_log is not None and p.w_log < -4000  # exact in exponent space
 

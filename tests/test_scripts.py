@@ -34,8 +34,9 @@ def test_run_sweep_takes_a_bare_integer_range():
         ("run_sweep.py", ["--m-range", "3..x"]),
         ("run_sweep.py", ["--m-range", "2", "--L-range", "4", "--step", "0"]),
         ("param_table.py", ["--m", "0"]),
+        ("param_table.py", ["--m", "1" + "0" * 200]),
     ],
-    ids=["malformed-range", "zero-step", "m-zero"],
+    ids=["malformed-range", "zero-step", "m-zero", "m-huge"],
 )
 def test_scripts_reject_bad_input_with_exit_two(script, argv):
     proc = run_script(script, *argv)
