@@ -19,6 +19,7 @@ chunk's streams are drawn in one vectorised pass
 transpose of masked swaps on whole uint64 arrays; a chunk holds as many
 trials as keep its Philox block within `_CHUNK_BYTES`.
 `TrialPlan.trial_sequences` gives the same trial as a `BinarySequence` pair.
+The frequency checks draw one `_CHUNK_BYTES` Philox block at a time.
 `sweep` is the one entry to a process pool: with `jobs > 1` it spreads every
 (cell, trial range) over one pool.  This module and `gapembed.rng` are the
 package's only numpy users; `gapembed.cli` imports this one inside
@@ -40,7 +41,7 @@ import numpy as np
 from . import RNG_ID, __version__
 from .engine import embeddable_prefix  # looked up by name in bench/tracer.py
 from .errors import InputBoundsError, UnderpoweredError
-from .rng import philox, stream_bits, stream_block
+from .rng import stream_bits, stream_block
 from .sequences import BinarySequence
 from .stats import wilson_interval
 from .walls import Interval, WallValue, find_fitting_hole
@@ -325,11 +326,10 @@ def wall_frequency_check(
 
     The event is that l fresh fair bits are constant, the same predicate
     `find_walls` applies to a run at a fixed body (cross-checked in tests);
-    vectorized here because sample counts reach 10^6.  The bits come from
-    the raw words of the stream (0, m, l), a bit-generator output that does
-    not depend on numpy's samplers: for l <= 32, sample i is the top l bits
-    of 32-bit half i (low half of each word first); for l > 32, the top l
-    bits of word i.
+    vectorized here because sample counts reach 10^7.  The bits come from
+    the raw words of the stream (0, m, l), drawn one chunk at a time: for
+    l <= 32, sample i is the top l bits of 32-bit half i (low half of each
+    word first); for l > 32, the top l bits of word i.
     """
     if not m <= l < 2 * m:
         raise InputBoundsError("wall size must satisfy m <= l < 2m")
@@ -339,14 +339,16 @@ def wall_frequency_check(
         raise UnderpoweredError("need at least one sample")
     if samples > _MAX_LENGTH:
         raise InputBoundsError(f"samples must be at most {_MAX_LENGTH}")
-    if l <= 32:
-        words = philox(seed, (0, m, l)).random_raw(-(-samples // 2))
-        draws = words.astype("<u8", copy=False).view("<u4")[:samples]
-        draws >>= np.uint32(32 - l)
-    else:
-        draws = philox(seed, (0, m, l)).random_raw(samples)
-        draws >>= np.uint64(64 - l)
-    occurrences = int(np.count_nonzero(draws == 0) + np.count_nonzero(draws == (1 << l) - 1))
+    bits = 32 if l <= 32 else 64
+    unit = np.dtype(f"<u{bits // 8}")
+    nwords = -(-samples * bits // 64)
+    chunk = _CHUNK_BYTES // 8
+    occurrences = 0
+    for lo in range(0, nwords, chunk):
+        words = stream_block(seed, [0], m, l, min(chunk, nwords - lo), first=lo)[0]
+        draws = words.astype("<u8", copy=False).view(unit)[: samples - lo * 64 // bits]
+        draws >>= unit.type(bits - l)
+        occurrences += int(np.count_nonzero(draws == 0) + np.count_nonzero(draws == (1 << l) - 1))
     rate = occurrences / samples
     p_counted = 2.0 ** (1 - l)
     p_nominal = 2.0 ** (-l)
@@ -388,7 +390,8 @@ def hole_frequency_check(m: int, samples: int, seed: int = 0) -> HoleFrequencyRe
     fresh Y and ask the hole finder whether a fitting hole starts at a fixed
     offset.  One starts there iff Y(offset + 1) equals the wall's symbol, the
     one symbol the finder reads, so the rate is 1/2.  Sample t's Y is the
-    stream (t, m, 0x410); one `stream_block` call draws every sample's."""
+    low 3 bits of the stream (t, m, 0x410); the finder decides each of the 8
+    Ys once, weighted by the number of samples that drew it."""
     if samples < 1:
         raise UnderpoweredError("need at least one sample")
     if samples > _MAX_LENGTH:
@@ -401,12 +404,16 @@ def hole_frequency_check(m: int, samples: int, seed: int = 0) -> HoleFrequencyRe
     wall = WallValue(Interval(i0, i0 + m), 2 * m, "v")
     offset = 2
     y_len = offset + 1
-    words = stream_block(seed, np.arange(samples, dtype=np.uint64), m, 0x410, 1)
+    counts = np.zeros(1 << y_len, dtype=np.int64)
+    chunk = _CHUNK_BYTES // 32  # one 4-word Philox block per sample
+    for lo in range(0, samples, chunk):
+        ts = np.arange(lo, min(lo + chunk, samples), dtype=np.uint64)
+        ys = stream_block(seed, ts, m, 0x410, 1)[:, 0] & np.uint64(counts.size - 1)
+        counts += np.bincount(ys.astype(np.intp), minlength=counts.size)
     occurrences = 0
-    for word in words[:, 0].tolist():
-        Y = BinarySequence(word & ((1 << y_len) - 1), y_len)
-        hole = find_fitting_hole(wall, range(offset, offset + 1), X, Y)
-        occurrences += hole is not None
+    for y, count in enumerate(counts.tolist()):
+        hole = find_fitting_hole(wall, range(offset, offset + 1), X, BinarySequence(y, y_len))
+        occurrences += count if hole is not None else 0
     rate = occurrences / samples
     return HoleFrequencyReport(
         m=m,

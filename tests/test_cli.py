@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -927,8 +929,9 @@ def test_analyze_span_records_only_spans(m, first, runs, delta):
 
 # Importing numpy costs about 0.1 s and 14 MB of resident memory, and
 # numpy.random about 6 MB more.  Only simulate and selftest need numpy, and
-# only commands that draw a single stream through a numpy Generator need
-# numpy.random: no other command may pay for them.
+# no command needs numpy.random: every stream comes from `rng.stream_block`.
+# numpy 1.x imports numpy.random with numpy itself (2.x loads it lazily), so
+# there a command that loads numpy sees it too.
 _PROBE = (
     "import sys\n"
     "from gapembed.cli import main\n"
@@ -937,21 +940,31 @@ _PROBE = (
 )
 
 
+@functools.cache
+def _numpy_imports_random():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return proc.stdout.split()[-1] == "True"
+
+
 @pytest.mark.parametrize(
-    "argv, loads_random, loads_numpy",
+    "argv, loads_numpy",
     [
-        (["embed", "--x", "{x}", "--y", "{y}", "--m", "4"], False, False),
-        (["embed", "--x", "{x}", "--y", "{y}", "--m", "4", "--witness"], False, False),
-        (["analyze", "--x", "{x}", "--y", "{y}", "--m", "3", "--holes", "--span"], False, False),
-        (["params", "--m", "4", "--levels", "3"], False, False),
-        (["simulate", "--m-range", "1..3", "--L-range", "8..8", "--trials", "100"], False, True),
-        # The wall check draws raw words from numpy.random's Philox: the probe
-        # sees it.
-        (["simulate", "--check", "walls", "--samples", "10"], True, True),
+        (["embed", "--x", "{x}", "--y", "{y}", "--m", "4"], False),
+        (["embed", "--x", "{x}", "--y", "{y}", "--m", "4", "--witness"], False),
+        (["analyze", "--x", "{x}", "--y", "{y}", "--m", "3", "--holes", "--span"], False),
+        (["params", "--m", "4", "--levels", "3"], False),
+        (["simulate", "--m-range", "1..3", "--L-range", "8..8", "--trials", "100"], True),
+        (["simulate", "--check", "walls", "--samples", "10"], True),
+        (["simulate", "--check", "holes", "--samples", "10"], True),
+        (["selftest"], True),
     ],
-    ids=["embed-text", "embed", "analyze", "params", "simulate", "check-walls"],
+    ids=["embed-text", "embed", "analyze", "params", "simulate", "check-walls", "check-holes",
+         "selftest"],
 )
-def test_numpy_random_stays_unloaded(tmp_path, argv, loads_random, loads_numpy):
+def test_numpy_random_stays_unloaded(tmp_path, argv, loads_numpy):
     files = {
         "x": write_seq(tmp_path, "x.txt", "0111000110100001111001011100"),
         "y": write_seq(tmp_path, "y.txt", "0010111010"),
@@ -963,7 +976,42 @@ def test_numpy_random_stays_unloaded(tmp_path, argv, loads_random, loads_numpy):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    loads_random = loads_numpy and _numpy_imports_random()
     assert proc.stdout.splitlines()[-1] == f"0 {loads_random} {loads_numpy}"
+
+
+# The frequency checks hold one chunk of samples at a time, so a run's peak
+# does not grow with --samples.  The probe reads the child's own peak
+# resident memory, which `ru_maxrss` would mix with the parent's.
+_PEAK_PROBE = (
+    "import sys\n"
+    "from gapembed.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "with open('/proc/self/status') as fh:\n"
+    "    hwm = [line.split()[1] for line in fh if line.startswith('VmHWM:')]\n"
+    "print(code, *hwm)\n"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+@pytest.mark.parametrize("check, samples", [("holes", 2_000_000), ("walls", 20_000_000)])
+def test_frequency_check_memory_is_flat_in_samples(check, samples):
+    src = str(Path(gapembed.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def peak_kb(n):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_PROBE, "simulate", "--check", check, "--samples", str(n)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, *hwm = proc.stdout.splitlines()[-1].split()
+        assert code == "0"
+        if not hwm:
+            pytest.skip("no VmHWM line in /proc/self/status")
+        return int(hwm[0])
+
+    assert peak_kb(samples) - peak_kb(10_000) <= 16 * 1024
 
 
 # ------------------------------------------------------------- exit-code fuzz
@@ -1102,6 +1150,25 @@ def _strict_json(line):
         raise AssertionError(f"non-standard JSON constant {name} in {line!r}")
 
     return json.loads(line, parse_constant=reject)
+
+
+# Options the fuzz test draws outside `_FLAGS` on purpose (simulate's work
+# counts and --jobs, see below), or never draws (selftest --config).
+_FLAGS_EXEMPT = {"simulate": {"--jobs", "--samples", "--trials"}, "selftest": {"--config"}}
+
+
+def test_fuzz_flag_table_names_every_option():
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in sub.choices.items():
+        options = {
+            option
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        }
+        exempt = _FLAGS_EXEMPT.get(command, set())
+        assert exempt <= options, command
+        assert options - exempt == set(_FLAGS.get(command, {})), command
 
 
 @settings(max_examples=500, deadline=None)

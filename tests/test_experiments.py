@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -18,8 +19,9 @@ from gapembed.experiments import (
     sweep,
     wall_frequency_check,
 )
-from gapembed.rng import philox, stream_bits
+from gapembed.rng import stream_bits, stream_words
 from gapembed.stats import wilson_interval
+from gapembed.walls import Interval, WallValue, find_fitting_hole
 
 
 def test_plan_defaults_and_bounds():
@@ -148,16 +150,24 @@ def _constant_top_bits(words, l, samples):
     return sum(d in (0, (1 << l) - 1) for d in draws[:samples])
 
 
+# Chunk sizes: the program's, and two that put chunk boundaries inside
+# Philox blocks (5 words; 1 and 7 hole samples per chunk).
+CHUNK_BYTES = [experiments._CHUNK_BYTES, 40, 224]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.sampled_from([0, 1, 99, 12345, -1, -7, 2**63 + 5]),
     l=st.integers(1, 62),
     samples=st.integers(1, 300),
+    chunk_bytes=st.sampled_from(CHUNK_BYTES),
 )
-def test_wall_check_reads_raw_philox_words(seed, l, samples):
+def test_wall_check_reads_raw_philox_words(seed, l, samples, chunk_bytes):
     m = l // 2 + 1
-    words = [int(w) for w in philox(seed, (0, m, l)).random_raw(samples)]
-    got = wall_frequency_check(m, l, samples, seed).occurrences
+    words = [int(w) for w in stream_words(seed, (0, m, l), samples)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_CHUNK_BYTES", chunk_bytes)
+        got = wall_frequency_check(m, l, samples, seed).occurrences
     assert got == _constant_top_bits(words, l, samples)
 
 
@@ -183,19 +193,45 @@ def test_wall_check_on_chosen_words(data):
         words = values
 
     m = l // 2 + 1
+    chunk_bytes = data.draw(st.sampled_from([experiments._CHUNK_BYTES, 8, 40]))
+    pieces = []
 
-    class Words:  # stands in for the stream (0, m, l) of seed 5
-        def __init__(self, seed, coords):
-            assert (seed, coords) == (5, (0, m, l))
-
-        def random_raw(self, n):
-            assert n == len(words)
-            return np.array(words, dtype=np.uint64)
+    def block(seed, ts, c2, c3, nwords, first=0):  # the stream (0, m, l) of seed 5
+        assert (seed, list(ts), c2, c3) == (5, [0], m, l)
+        pieces.append((first, nwords))
+        return np.array([words[first : first + nwords]], dtype=np.uint64)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "philox", Words)
+        patch.setattr(experiments, "stream_block", block)
+        patch.setattr(experiments, "_CHUNK_BYTES", chunk_bytes)
         got = wall_frequency_check(m, l, samples, 5).occurrences
     assert got == _constant_top_bits(words, l, samples)
+    # The pieces read every word the samples need, in order, each once.
+    assert [first for first, _ in pieces] == [0, *itertools.accumulate(n for _, n in pieces)][:-1]
+    assert sum(n for _, n in pieces) == len(words)
+
+
+def per_sample_holes(m, samples, seed):
+    """The hole check before chunking: one Y and one finder call per sample."""
+    X = BinarySequence.from_string("00" + "1" * m + "0101")
+    wall = WallValue(Interval(2, 2 + m), 2 * m, "v")
+    occurrences = 0
+    for t in range(samples):
+        word = int(stream_words(seed, (t, m, 0x410), 1)[0])
+        Y = BinarySequence(word & 0b111, 3)
+        occurrences += find_fitting_hole(wall, range(2, 3), X, Y) is not None
+    return occurrences
+
+
+@pytest.mark.parametrize("chunk_bytes", CHUNK_BYTES)
+@pytest.mark.parametrize(
+    "m, samples, seed", [(2, 1, 0), (3, 50, 11), (4, 1000, 3), (7, 777, 9), (5, 64, -1)]
+)
+def test_hole_check_equals_one_finder_call_per_sample(monkeypatch, chunk_bytes, m, samples, seed):
+    want = per_sample_holes(m, samples, seed)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", chunk_bytes)
+    rep = hole_frequency_check(m, samples, seed)
+    assert (rep.samples, rep.occurrences) == (samples, want)
 
 
 def test_hole_frequency_smoke():

@@ -138,10 +138,22 @@ def test_count_successes_draws_no_single_streams(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a sweep chunk must draw its streams in one block")
 
-    monkeypatch.setattr(experiments, "stream_words", forbidden, raising=False)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rng.stream_block(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "stream_bits", forbidden)
+    monkeypatch.setattr(TrialPlan, "trial_sequences", forbidden)
     monkeypatch.setattr(rng, "stream_words", forbidden)
-    monkeypatch.setattr(rng, "philox", forbidden)
-    assert _count_successes(plan, 0, plan.trials) == want
+    monkeypatch.setattr(experiments, "stream_block", counted)
+    # One chunk of 300 trials, then chunks of 64 trials (one 2 KB block each).
+    for chunk_bytes, chunks in [(experiments._CHUNK_BYTES, 1), (64 * 32, 5)]:
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", chunk_bytes)
+        calls.clear()
+        assert _count_successes(plan, 0, plan.trials) == want
+        assert len(calls) == chunks
 
 
 def test_lanes_raise_no_warning():

@@ -1,6 +1,7 @@
 """Philox streams: exact keys for every seed, bytes unchanged for the seeds
 that were already exact, draws that threads can make at once, and a
-vectorised block whose rows equal the single streams."""
+vectorised block whose rows, from any word offset, equal numpy.random's
+Philox (`stream_words`)."""
 
 import sys
 import threading
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from gapembed import experiments
 from gapembed.experiments import wall_frequency_check
-from gapembed.rng import stream_bits, stream_block, stream_bytes, stream_words
+from gapembed.rng import stream_bits, stream_block, stream_words
 
 COORDS = [(0, 0, 0), (1, 2, 16), (999, 8, 128), (2**63 - 1, 7, 5)]
 
@@ -25,17 +26,18 @@ def test_bytes_match_a_fresh_generator_below_two_to_the_63(seed):
             gen = np.random.Generator(
                 np.random.Philox(counter=[0, *coords], key=[seed, 0])
             )
-            assert stream_bytes(seed, coords, n) == gen.bytes(n), (coords, n)
+            want = int.from_bytes(gen.bytes(n), "little")
+            assert stream_bits(seed, coords, 8 * n) == want, (coords, n)
 
 
 def test_distinct_seeds_mod_two_to_the_64_give_distinct_streams():
     seeds = [0, 1, -1, -7, 2**63, 2**63 + 5, 2**64 - 2]
-    streams = {seed: stream_bytes(seed, (3, 2, 16), 32) for seed in seeds}
+    streams = {seed: stream_bits(seed, (3, 2, 16), 256) for seed in seeds}
     assert len(set(streams.values())) == len(seeds)
     for seed in seeds:
-        assert stream_bytes(seed + 2**64, (3, 2, 16), 32) == streams[seed]
-        assert stream_bytes(seed - 2**64, (3, 2, 16), 32) == streams[seed]
-    assert stream_bytes(-1, (3, 2, 16), 32) == stream_bytes(2**64 - 1, (3, 2, 16), 32)
+        assert stream_bits(seed + 2**64, (3, 2, 16), 256) == streams[seed]
+        assert stream_bits(seed - 2**64, (3, 2, 16), 256) == streams[seed]
+    assert stream_bits(-1, (3, 2, 16), 256) == stream_bits(2**64 - 1, (3, 2, 16), 256)
 
 
 def test_wall_check_keys_every_seed_exactly():
@@ -61,8 +63,8 @@ def test_no_warning_for_any_seed():
 
 def test_stream_views_agree():
     words = stream_words(5, (7, 3, 40), 3)
-    raw = stream_bytes(5, (7, 3, 40), 20)
-    assert raw == words.astype("<u8").tobytes()[:20]
+    assert np.array_equal(stream_block(5, [7], 3, 40, 3)[0], words)
+    raw = words.astype("<u8").tobytes()
     assert stream_bits(5, (7, 3, 40), 150) == int.from_bytes(raw, "little") & ((1 << 150) - 1)
 
 
@@ -70,13 +72,13 @@ def test_threads_share_the_generator():
     # More threads than cores, a short switch interval: a draw that another
     # thread repositions mid-way would differ from the single-thread value.
     coords = [(t, 2, 16) for t in range(200)]
-    want = {c: stream_bytes(17, c, 40) for c in coords}
+    want = {c: stream_bits(17, c, 320) for c in coords}
     bad = []
 
     def worker(offset):
         for i in range(400):
             c = coords[(i * 7 + offset) % len(coords)]
-            if stream_bytes(17, c, 40) != want[c]:
+            if stream_bits(17, c, 320) != want[c]:
                 bad.append(c)
 
     interval = sys.getswitchinterval()
@@ -98,12 +100,12 @@ BLOCK_TS = [0, 1, 2, 63, 64, 199, 2**32 + 1, 2**63 - 1, 2**63, 2**63 + 7, 2**64 
 BLOCK_CELLS = [(2, 16), (8, 128), (2**63, 5), (3, 2**63 + 7), (2**64 - 1, 2**64 - 1)]
 
 
-def assert_rows_are_streams(seed, ts, c2, c3, nwords):
-    block = stream_block(seed, ts, c2, c3, nwords)
+def assert_rows_are_streams(seed, ts, c2, c3, nwords, first=0):
+    block = stream_block(seed, ts, c2, c3, nwords, first=first)
     assert block.dtype == np.uint64 and block.shape == (len(ts), nwords)
     for row, t in zip(block, ts):
-        want = stream_words(seed, (int(t), c2, c3), nwords)
-        assert np.array_equal(row, want), (seed, int(t), c2, c3, nwords)
+        want = stream_words(seed, (int(t), c2, c3), first + nwords)[first:]
+        assert np.array_equal(row, want), (seed, int(t), c2, c3, nwords, first)
 
 
 @pytest.mark.parametrize("seed", BLOCK_SEEDS)
@@ -139,9 +141,10 @@ words64 = st.integers(-(2**64), 2**65)
     c2=words64,
     c3=words64,
     nwords=st.integers(0, 13),
+    first=st.integers(0, 41),  # offsets inside a Philox block too
 )
-def test_block_equals_stream_words_property(seed, ts, c2, c3, nwords):
-    assert_rows_are_streams(seed, ts, c2, c3, nwords)
+def test_block_equals_stream_words_property(seed, ts, c2, c3, nwords, first):
+    assert_rows_are_streams(seed, ts, c2, c3, nwords, first)
 
 
 def test_block_raises_no_warning():
