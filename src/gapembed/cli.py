@@ -66,19 +66,23 @@ def _default_seed() -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    """Inclusive 'A..B' ranges; a bare integer is a singleton."""
+    """Inclusive 'A..B' ranges, every S-th value of one with 'A..B:S';
+    a bare integer is a singleton."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            a, b = int(lo), int(hi)
+            hi, colon, step = hi.partition(":")
+            a, b, s = int(lo), int(hi), int(step) if colon else 1
             if b < a:
                 raise GapembedError(f"empty range {text!r}")
-            if b - a >= sys.maxsize:
+            if s < 1:
+                raise GapembedError(f"range {text!r} needs a step >= 1")
+            if (b - a) // s >= sys.maxsize:
                 raise GapembedError(f"range {text!r} has too many values")
-            return list(range(a, b + 1))
+            return list(range(a, b + 1, s))
         return [int(text)]
     except ValueError:
-        raise GapembedError(f"malformed range {text!r}; expected A..B or an integer")
+        raise GapembedError(f"malformed range {text!r}; expected A..B, A..B:S or an integer")
 
 
 def _config_argv(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
@@ -311,23 +315,26 @@ def cmd_simulate(args) -> int:
     from .experiments import hole_frequency_check, rows_to_csv, sweep, wall_frequency_check
 
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.check is not None:
-        if args.check == "walls":
-            report = wall_frequency_check(args.m_check, args.l, args.samples, seed)
-        else:
-            report = hole_frequency_check(args.m_check, args.samples, seed)
-        text = json.dumps({"meta": _meta(seed), **report.to_json()}) + "\n"
-    else:
-        m_values = _parse_range(args.m_range)
-        L_values = _parse_range(args.L_range)
-        rows = sweep(m_values, L_values, args.trials, seed, args.x_length, jobs=args.jobs)
-        if args.format == "json":
-            lines = [json.dumps({"meta": _meta(seed)})]
-            lines += [json.dumps(row.to_json()) for row in rows]
-            text = "\n".join(lines) + "\n"
-        else:
-            text = rows_to_csv(rows)
+    if args.check is None:
+        m_values, L_values = _parse_range(args.m_range), _parse_range(args.L_range)
+    # The ranges are parsed and --out opened before the first draw, so a bad
+    # path costs no work; the text is written whole, so an error leaves
+    # stdout empty.
     with _open_out(args.out) as out:
+        if args.check is not None:
+            if args.check == "walls":
+                report = wall_frequency_check(args.m_check, args.l, args.samples, seed)
+            else:
+                report = hole_frequency_check(args.m_check, args.samples, seed)
+            text = json.dumps({"meta": _meta(seed), **report.to_json()}) + "\n"
+        else:
+            rows = sweep(m_values, L_values, args.trials, seed, args.x_length, jobs=args.jobs)
+            if args.format == "json":
+                lines = [json.dumps({"meta": _meta(seed)})]
+                lines += [json.dumps(row.to_json()) for row in rows]
+                text = "\n".join(lines) + "\n"
+            else:
+                text = rows_to_csv(rows)
         out.write(text)
     return 0
 
@@ -420,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("simulate", help="embedding probability sweeps and checks")
-    p.add_argument("--m-range", dest="m_range", default="1..4")
-    p.add_argument("--L-range", dest="L_range", default="16..16")
+    grammar = "A..B (inclusive), A..B:S (every S-th from A) or an integer"
+    p.add_argument("--m-range", dest="m_range", default="1..4", help=f"gap bounds: {grammar}")
+    p.add_argument("--L-range", dest="L_range", default="16..16", help=f"lengths: {grammar}")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None, help=f"default ${ENV_SEED} or 0")
     p.add_argument("--x-length", dest="x_length", type=int, default=None)

@@ -27,7 +27,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import InputBoundsError
 
@@ -378,13 +378,3 @@ def _levels(params: LevelParams, k_max: int) -> Iterator[LevelParams]:
         if k:
             params = _step(params)
         yield params
-
-
-def feasibility_horizon(levels: Iterable[LevelParams]) -> int:
-    """Last level before any stepping fact fails (0 when level 1 already fails)."""
-    horizon = 0
-    for params in levels:
-        if params.stepping_violations():
-            break
-        horizon = params.level
-    return horizon

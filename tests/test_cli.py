@@ -681,6 +681,50 @@ def test_simulate_out_takes_every_report(tmp_path, capsys, check):
     assert out_file.read_bytes() == want.encode()
 
 
+@pytest.mark.parametrize("check", [[], ["--check", "walls"], ["--check", "holes"]],
+                         ids=["sweep", "walls", "holes"])
+@pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["out-missing", "out-dir"])
+def test_simulate_unopenable_out_draws_nothing(tmp_path, capsys, monkeypatch, check, out):
+    # --out is opened before the first draw, as in params.
+    def draw(*args, **kwargs):
+        raise AssertionError("drew before opening --out")
+
+    for name in ("sweep", "wall_frequency_check", "hole_frequency_check"):
+        monkeypatch.setattr(experiments, name, draw)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(capsys, "simulate", "--trials", "5", *check, "--out", out)
+    assert code == 2
+    assert stdout == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_simulate_range_step_picks_every_sth_value(capsys):
+    argv = ["simulate", "--m-range", "3", "--trials", "50"]
+    code, out, _ = run_cli(capsys, *argv, "--L-range", "16..48:16")
+    assert code == 0
+    rows = out.splitlines()[2:]
+    assert [row.split(",")[:2] for row in rows] == [["3", "16"], ["3", "32"], ["3", "48"]]
+    # Cells draw disjoint streams, so each row is that of a one-cell run.
+    for row, L in zip(rows, ("16", "32", "48")):
+        code, one, _ = run_cli(capsys, *argv, "--L-range", L)
+        assert code == 0 and one.splitlines()[2:] == [row]
+
+
+@pytest.mark.parametrize("flag", ["--m-range", "--L-range"])
+@pytest.mark.parametrize(
+    "text, reason",
+    [("4..8:0", "needs a step >= 1"), ("4..8:-2", "needs a step >= 1"),
+     ("4..8:x", "malformed"), ("1..3:", "malformed"), ("4:2", "malformed"),
+     ("8..4:2", "empty range"), ("0..99999999999999999999999:1000", "too many values")],
+    ids=["zero-step", "negative-step", "text-step", "empty-step", "bare-integer", "reversed",
+         "huge"],
+)
+def test_simulate_bad_range_step_exits_two(capsys, flag, text, reason):
+    code, out, err = run_cli(capsys, "simulate", "--trials", "5", flag, text)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert reason in err and "Traceback" not in err
+
+
 def _golden_simulate_argv(case, jobs):
     argv = [
         "simulate", "--m-range", "1..6", "--L-range", f"{case['L']}..{case['L']}",
@@ -1030,14 +1074,15 @@ def test_simulate_negative_x_length_exits_two(capsys):
         ["simulate", "--m-range", "99999999999999999999"],
         ["simulate", "--L-range", "99999999999999999999", "--m-range", "1"],
         ["simulate", "--m-range", "1..99999999999999999999"],
+        ["simulate", "--L-range", "0..99999999999999999999999:1000", "--m-range", "1"],
         ["simulate", "--check", "holes", "--m-check", "99999999999999999999"],
         ["simulate", "--check", "holes", "--samples", "99999999999999999999"],
         # Sizes past the memory limit: MemoryError becomes one error line.
         ["simulate", "--m-range", "100000000000"],
         ["simulate", "--check", "holes", "--m-check", "10000000000"],
     ],
-    ids=["m-range", "L-range", "m-range-span", "m-check", "samples", "m-range-mem",
-         "m-check-mem"],
+    ids=["m-range", "L-range", "m-range-span", "L-range-step", "m-check", "samples",
+         "m-range-mem", "m-check-mem"],
 )
 def test_huge_simulate_sizes_exit_two(argv):
     proc = run_fresh(*argv, limit_bytes=1536 << 20)
@@ -1069,7 +1114,8 @@ def test_main_builds_one_parser(tmp_path, capsys):
 
 _SMALL = ["-3", "-1", "0", "1", "2", "3", "4", "6", "", "x", "1.5", "1e3"]
 _GAP = _SMALL + [HUGE_M]  # gap bounds far past len(X) cost no more than len(X)
-_RANGE = ["1", "1..3", "2..2", "1..2", "0..2", "-1..1", "3..1", "a..b", ""]
+_RANGE = ["1", "1..3", "2..2", "1..2", "0..2", "-1..1", "3..1", "a..b", "",
+          "1..3:2", "1..3:0", "1..3:", "2:1"]
 _SEQ_BYTES = st.one_of(
     st.text("01", max_size=30).map(str.encode),
     st.text("01", max_size=30).map(lambda t: t.encode() + b"\n"),

@@ -21,22 +21,13 @@ def run_script(name, *argv):
     )
 
 
-def test_run_sweep_takes_a_bare_integer_range():
-    proc = run_script("run_sweep.py", "--m-range", "3", "--L-range", "16..48", "--trials", "50")
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split(",")[:2] for line in proc.stdout.splitlines()[2:]]
-    assert rows == [["3", "16"], ["3", "32"], ["3", "48"]]
-
-
 @pytest.mark.parametrize(
     "script, argv",
     [
-        ("run_sweep.py", ["--m-range", "3..x"]),
-        ("run_sweep.py", ["--m-range", "2", "--L-range", "4", "--step", "0"]),
         ("param_table.py", ["--m", "0"]),
         ("param_table.py", ["--m", "1" + "0" * 200]),
     ],
-    ids=["malformed-range", "zero-step", "m-zero", "m-huge"],
+    ids=["m-zero", "m-huge"],
 )
 def test_scripts_reject_bad_input_with_exit_two(script, argv):
     proc = run_script(script, *argv)
@@ -59,3 +50,21 @@ def test_param_table_lists_each_violation_once():
     notes = [row.split()[-1].split(";") for row in rows]
     assert "q-tri-cap" in notes[1] and "q-tri" not in notes[1]
     assert all(len(set(row)) == len(row) for row in notes)
+
+
+@pytest.mark.parametrize(
+    "m, levels, horizon",
+    # At m = 10 level 1 already fails the delta ratio and level 2 the slope
+    # product; the horizon grows only with m.
+    [("10", "8", 0), ("1000", "12", 1), ("10000", "6", 6)],
+)
+def test_param_table_prints_the_feasibility_horizon(m, levels, horizon):
+    proc = run_script("param_table.py", "--m", m, "--levels", levels)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 + int(levels) + 1
+    assert lines[-1] == f"feasibility horizon: level {horizon}"
+    # the last level before the first row whose facts do not all hold
+    facts = [row.split()[-1] for row in lines[1:-1]]
+    assert facts[:horizon] == ["ok"] * horizon
+    assert horizon == int(levels) or facts[horizon] != "ok"
