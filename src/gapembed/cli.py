@@ -9,7 +9,8 @@ self-describing; nothing in the output depends on time or scheduling.  The
 environment variable GAPEMBED_SEED supplies the default seed; --seed
 overrides it.  A --config file of key=value pairs may set any flag of the
 subcommand, required ones included; its lines go ahead of the command line,
-so explicit flags win, and an unknown key exits 2.
+so explicit flags win, and an unknown key exits 2.  selftest has no flags,
+so it takes no --config.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ def _config_argv(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     subparsers = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
-    if not argv or argv[0] not in subparsers.choices:
+    command = subparsers.choices.get(argv[0]) if argv else None
+    if command is None or "--config" not in command._option_string_actions:
         return argv
-    command = subparsers.choices[argv[0]]
     pre = argparse.ArgumentParser(prog=f"{parser.prog} {argv[0]}", add_help=False)
     pre.add_argument("--config", default=None)
     path = pre.parse_known_args(argv[1:])[0].config
@@ -144,7 +145,7 @@ def _load_exponents(path: str) -> ExponentTuple:
         missing = [name for name in names if name not in data]
         if missing:
             raise GapembedError(f"exponents file lacks fields: {', '.join(missing)}")
-        return ExponentTuple(**{name: Fraction(str(data[name])) for name in names})
+        return ExponentTuple(**{name: data[name] for name in names})
     except (ValueError, ZeroDivisionError) as exc:
         raise GapembedError(f"{path}: {exc}") from None
 
@@ -213,14 +214,13 @@ def cmd_embed(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.holes and not args.y:
-        print("error: --holes requires --y", file=sys.stderr)
-        return 2
+        raise GapembedError("--holes requires --y")
     # Every input is read before the first line, so an input error leaves
     # stdout empty; from then on each record is written as it is made.
     X = load_sequence_file(args.x)
     Y = load_sequence_file(args.y) if args.y else None
     m = args.m
-    delta = args.delta if args.delta is not None else float(lam_pow(Fraction(3, 10) * m))
+    delta = args.delta if args.delta is not None else lam_pow(Fraction(3, 10) * m)
     out = sys.stdout
     out.write(json.dumps({"meta": _meta()}) + "\n")
     out.writelines(_wall_lines(X.text, m, "v"))
@@ -444,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("selftest", help="quick internal consistency battery")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_selftest)
 
     return parser

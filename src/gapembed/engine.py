@@ -35,9 +35,8 @@ def _checkpoint_spacing(L: int) -> int:
 
 
 def _window_or(mask: int, step: int) -> int:
-    """Union of (mask << d) for d = 1..step."""
-    if mask == 0 or step <= 0:
-        return 0
+    """Union of (mask << d) for d = 1..step; step 0 (an empty X) gives
+    mask << 1, which the empty X's match masks clear."""
     # Doubling smear: cover offsets 0..step-1, then shift once.
     out = mask
     covered = 1

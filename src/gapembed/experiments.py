@@ -1,4 +1,5 @@
-"""Monte Carlo harness for embedding probability curves and frequency checks.
+"""Monte Carlo harness for embedding probability curves and frequency checks,
+with the Wilson interval of each estimate (`wilson_interval`).
 
 Reproducibility contract: every trial's randomness is a pure function of
 (master_seed, m, L, trial index) through a counter-based generator (see
@@ -20,6 +21,8 @@ transpose of masked swaps on whole uint64 arrays; a chunk holds as many
 trials as keep its Philox block within `_CHUNK_BYTES`.
 `TrialPlan.trial_sequences` gives the same trial as a `BinarySequence` pair.
 The frequency checks draw one `_CHUNK_BYTES` Philox block at a time.
+Each input is checked once: `TrialPlan` refuses a plan out of range or
+with zero trials, and `_check_samples` a sample count.
 `sweep` is the one entry to a process pool: with `jobs > 1` it spreads every
 (cell, trial range) over one pool.  This module and `gapembed.rng` are the
 package's only numpy users; `gapembed.cli` imports this one inside
@@ -30,6 +33,7 @@ numpy.
 from __future__ import annotations
 
 import io
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -43,7 +47,6 @@ from .engine import embeddable_prefix  # looked up by name in bench/tracer.py
 from .errors import InputBoundsError, UnderpoweredError
 from .rng import stream_bits, stream_block
 from .sequences import BinarySequence
-from .stats import wilson_interval
 from .walls import Interval, WallValue, find_fitting_hole
 
 # A lane chunk holds as many words of 64 trials as keep the Philox block it
@@ -55,6 +58,9 @@ _CHUNK_BYTES = 1 << 20
 # drawing: a lane row takes 8 bytes per stream bit, and numpy cannot index
 # an array of sys.maxsize bytes.
 _MAX_LENGTH = sys.maxsize // 16
+
+#: two-sided 95% normal quantile, pinned for byte-stable reports
+Z95 = 1.96
 
 # The six stages of a 64x64 bit transpose: (j, mask of the low j bits of
 # every 2j-bit group).  Hacker's Delight, 2nd ed., section 7-3.
@@ -96,6 +102,8 @@ class TrialPlan:
             raise InputBoundsError(
                 f"x_length + L = {self.x_length + self.L} exceeds {_MAX_LENGTH}"
             )
+        if self.trials == 0:
+            raise UnderpoweredError("plan has zero trials")
 
     def trial_sequences(self, t: int) -> tuple[BinarySequence, BinarySequence]:
         """The (X, Y) pair of trial t; pure in (master_seed, m, L, t)."""
@@ -203,6 +211,8 @@ def embeddable_lanes(
 
 def _count_successes(plan: TrialPlan, start: int, stop: int) -> int:
     """Successes among trials start..stop-1, decided one lane chunk at a time."""
+    # Not a fast path: the empty prefix always embeds, and with x_length = 0
+    # as well a trial has no stream bits, so block_bytes would be 0.
     if plan.L == 0:
         return stop - start
     block_bytes = 64 * 32 * -(-(plan.x_length + plan.L) // 256)  # per 64 trials
@@ -214,6 +224,25 @@ def _count_successes(plan: TrialPlan, start: int, stop: int) -> int:
         x_lanes, y_lanes = lanes[: plan.x_length], lanes[plan.x_length :]
         count += embeddable_lanes(x_lanes, y_lanes, plan.m, hi - lo).bit_count()
     return count
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (z = `Z95`) for a binomial proportion.
+
+    Preferred over the Wald interval for stability near p = 0 or 1.
+    """
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError("successes outside 0..trials")
+    z = Z95
+    p = successes / trials
+    denom = 1 + z * z / trials
+    center = (p + z * z / (2 * trials)) / denom
+    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
 
 
 def _estimate_row(plan: TrialPlan, successes: int) -> EstimateRow:
@@ -235,9 +264,6 @@ def _pooled_estimates(plans: Sequence[TrialPlan], jobs: int) -> list[EstimateRow
     """One row per plan, every plan's trials split in `jobs` ranges and all
     (plan, range) pieces spread over one process pool of at most one worker
     per CPU (a fork pool starts every worker at its first submit)."""
-    for plan in plans:
-        if plan.trials == 0:
-            raise UnderpoweredError("plan has zero trials")
     with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
         futures = []
         for plan in plans:
@@ -255,8 +281,6 @@ def _pooled_estimates(plans: Sequence[TrialPlan], jobs: int) -> list[EstimateRow
 def estimate_embed_prob(plan: TrialPlan) -> EstimateRow:
     """Estimate P(the length-L prefix of Y is m-embeddable into X) under the
     plan's seed, in this process; `sweep` spreads plans over processes."""
-    if plan.trials == 0:
-        raise UnderpoweredError("plan has zero trials")
     return _estimate_row(plan, _count_successes(plan, 0, plan.trials))
 
 
@@ -313,6 +337,13 @@ class WallFrequencyReport:
         return asdict(self)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise UnderpoweredError("need at least one sample")
+    if samples > _MAX_LENGTH:
+        raise InputBoundsError(f"samples must be at most {_MAX_LENGTH}")
+
+
 def _z_score(rate: float, p: float, n: int) -> float:
     if p == 1.0:  # l = 1: every sample is a wall, so rate == p with no spread
         return 0.0
@@ -335,10 +366,7 @@ def wall_frequency_check(
         raise InputBoundsError("wall size must satisfy m <= l < 2m")
     if l > 62:
         raise InputBoundsError("l too large for the vectorized sampler")
-    if samples < 1:
-        raise UnderpoweredError("need at least one sample")
-    if samples > _MAX_LENGTH:
-        raise InputBoundsError(f"samples must be at most {_MAX_LENGTH}")
+    _check_samples(samples)
     bits = 32 if l <= 32 else 64
     unit = np.dtype(f"<u{bits // 8}")
     nwords = -(-samples * bits // 64)
@@ -392,10 +420,7 @@ def hole_frequency_check(m: int, samples: int, seed: int = 0) -> HoleFrequencyRe
     one symbol the finder reads, so the rate is 1/2.  Sample t's Y is the
     low 3 bits of the stream (t, m, 0x410); the finder decides each of the 8
     Ys once, weighted by the number of samples that drew it."""
-    if samples < 1:
-        raise UnderpoweredError("need at least one sample")
-    if samples > _MAX_LENGTH:
-        raise InputBoundsError(f"samples must be at most {_MAX_LENGTH}")
+    _check_samples(samples)
     if not 2 <= m <= _MAX_LENGTH:
         raise InputBoundsError(f"m must be in 2..{_MAX_LENGTH}")
     # X: zero padding, a run of ones of length exactly m, zero padding.

@@ -27,11 +27,9 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .errors import InputBoundsError
-
-RationalLike = Union[int, str, Fraction, float]
 
 #: Lambda in the slope step sigma' = sigma + Lambda * slb^-3 * Delta/Gamma
 LAMBDA = Fraction(10)
@@ -41,17 +39,10 @@ LAMBDA = Fraction(10)
 _EXACT_CMP_BIT_LIMIT = 4_000_000
 
 
-def _frac(x: RationalLike) -> Fraction:
-    """Fractions from ints, strings, Fractions, or short decimal floats."""
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
-
-
 def lam_pow(exponent: Fraction) -> float:
     """lam^exponent as a float; overflow gives inf, underflow gives 0.0."""
     try:
-        return float(2.0 ** (float(exponent) / 2))
+        return 2.0 ** (float(exponent) / 2)
     except OverflowError:
         return math.inf if exponent > 0 else 0.0
 
@@ -94,8 +85,10 @@ class ExponentTuple:
     """The seven tunable exponents of the hierarchy.
 
     lam = 2^(1/2) and the polynomial degree c1 = 2 are fixed.  All fields are
-    exact rationals; floats are accepted and parsed through their decimal
-    representation.
+    exact rationals, each read as `Fraction(str(value))`: an int, a Fraction,
+    a string such as "7/4" or "0.15", or a float through its shortest decimal
+    text.  Any other value (a bool, None, "1/0") raises ValueError or
+    ZeroDivisionError, and a value <= 0 raises InputBoundsError.
     """
 
     delta: Fraction
@@ -108,7 +101,7 @@ class ExponentTuple:
 
     def __post_init__(self):
         for field in fields(self):
-            val = _frac(getattr(self, field.name))
+            val = Fraction(str(getattr(self, field.name)))
             if val <= 0:
                 raise InputBoundsError(f"exponent {field.name} must be positive")
             object.__setattr__(self, field.name, val)

@@ -457,6 +457,21 @@ def test_params_bad_exponents_file_exits_two(tmp_path, capsys, text):
     assert out == "" and err.startswith("error:")
 
 
+def test_params_exponents_are_read_exactly_through_their_text(tmp_path, capsys):
+    # JSON floats and fraction strings naming the default tuple give the bytes
+    # of a run without --exponents; a bool, null, a zero denominator or a
+    # negative value is one error line.
+    argv = ["params", "--m", "4", "--levels", "3"]
+    expfile = tmp_path / "e.json"
+    expfile.write_text(json.dumps({"delta": 0.15, "gamma": "9/50", "phi": 0.24, "tau": "7/4",
+                                   "tau_prime": 2.5, "omega": "9/2", "chi": 0.015}))
+    assert run_cli(capsys, *argv, "--exponents", str(expfile)) == run_cli(capsys, *argv)
+    for value in (True, None, "1/0", -1):
+        expfile.write_text(json.dumps({**_DEFAULT_EXPONENTS_JSON, "delta": value}))
+        code, out, err = run_cli(capsys, *argv, "--exponents", str(expfile))
+        assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("m", [4, 10])
 def test_params_deep_levels_print_inf(capsys, m):
     code, out, _ = run_cli(capsys, "params", "--m", str(m), "--levels", "1300")
@@ -1199,8 +1214,8 @@ def _strict_json(line):
 
 
 # Options the fuzz test draws outside `_FLAGS` on purpose (simulate's work
-# counts and --jobs, see below), or never draws (selftest --config).
-_FLAGS_EXEMPT = {"simulate": {"--jobs", "--samples", "--trials"}, "selftest": {"--config"}}
+# counts and --jobs, see below).  selftest has no options.
+_FLAGS_EXEMPT = {"simulate": {"--jobs", "--samples", "--trials"}}
 
 
 def test_fuzz_flag_table_names_every_option():

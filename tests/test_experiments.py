@@ -18,9 +18,9 @@ from gapembed.experiments import (
     rows_to_csv,
     sweep,
     wall_frequency_check,
+    wilson_interval,
 )
 from gapembed.rng import stream_bits, stream_words
-from gapembed.stats import wilson_interval
 from gapembed.walls import Interval, WallValue, find_fitting_hole
 
 
