@@ -13,6 +13,9 @@ are uint64 with one row per position and one column per word of 64 lanes:
 bit k of word w in row i is symbol i + 1 (or, for the reach state,
 position i) of the pair in lane 64w + k.  The smear then runs along the
 position axis, and the match of row j is XNOR(X lanes, Y(j)'s lane word).
+Only the live band of positions, from the lowest reached one to m above
+the highest, is smeared and matched, so a row costs the width of that
+band, not len(X) + 1 rows; an empty band is the all-dead exit.
 Trial start + 64w + k of a chunk is lane k of word w, and bit i of its
 stream (X(i + 1) for i < x_length, then Y) is row i of that lane.  A
 chunk's streams are drawn in one vectorised pass
@@ -50,8 +53,12 @@ from .sequences import BinarySequence
 from .walls import Interval, WallValue, find_fitting_hole
 
 # A lane chunk holds as many words of 64 trials as keep the Philox block it
-# draws (4 words per 256 stream bits, rounded up) within _CHUNK_BYTES; its
-# lane array is never larger.
+# draws (4 words per 256 stream bits, rounded up) within _CHUNK_BYTES, and
+# its lane array is then no larger.  The chunk shrinks no further than one
+# word of 64 trials, so past 131,072 stream bits per trial its lane array is
+# 8 bytes per stream bit, above _CHUNK_BYTES.  `embeddable_lanes` adds reach,
+# two smear buffers and match, each about as large as the lane array:
+# 8 * (x_length + L) * ceil(trials / 64) bytes for a chunk of that many trials.
 _CHUNK_BYTES = 1 << 20
 
 # The longest sequence or sample count a run may ask for, checked before
@@ -184,6 +191,13 @@ def embeddable_lanes(
     layout of the module docstring.  Lanes `lanes` and up of the last word
     are padding and never survive.  Returns the surviving lanes as an int:
     bit t is set iff the Y of lane t embeds into its X.
+
+    The reached positions of every lane lie in the live band, rows lo..hi-1
+    of `reach`, and a Y symbol can move them only to rows lo+1..hi-1+m.  So
+    each row smears, matches and ANDs only rows lo..min(hi - 1 + m, len(X)),
+    and costs the width of the band, not len(X) + 1 rows.  Rows below lo
+    keep stale bits, which are never read again.  An empty band is the
+    all-dead exit: no lane survives, and no further Y row is read.
     """
     if m < 1:
         raise InputBoundsError("m must be >= 1")
@@ -191,21 +205,33 @@ def embeddable_lanes(
     live = ((1 << lanes) - 1).to_bytes(8 * words, "little")
     reach = np.zeros((n + 1, words), dtype=np.uint64)
     reach[0] = np.frombuffer(live, dtype="<u8")
-    smear = np.empty_like(reach)
+    lo, hi = 0, 1
+    # The doubling smear alternates between two buffers: a step whose output
+    # overlapped its input would make numpy copy the input first.
+    buffers = np.empty((2, n, words), dtype=np.uint64)
     match = np.empty_like(x_lanes)
     for y in y_lanes:
-        np.copyto(smear, reach)
-        covered = 1
+        top = min(hi - 1 + m, n)
+        if top <= lo:
+            return 0
+        width = top - lo
+        smear = reach[lo:top]
+        covered, step = 1, 0
         while covered < m:
             take = min(covered, m - covered)
-            smear[take:] |= smear[:-take]
-            covered += take
-        np.bitwise_xor(x_lanes, ~y, out=match)
-        np.bitwise_and(smear[:-1], match, out=reach[1:])
-        reach[0] = 0
-        if not reach.any():
+            out = buffers[step & 1, :width]
+            out[:take] = smear[:take]
+            np.bitwise_or(smear[take:], smear[:-take], out=out[take:])
+            smear = out
+            covered, step = covered + take, step + 1
+        np.bitwise_xor(x_lanes[lo:top], ~y, out=match[:width])
+        band = reach[lo + 1 : top + 1]
+        np.bitwise_and(smear, match[:width], out=band)
+        rows = np.flatnonzero(band.any(axis=1))
+        if not rows.size:
             return 0
-    survivors = np.bitwise_or.reduce(reach, axis=0)
+        lo, hi = lo + 1 + int(rows[0]), lo + 2 + int(rows[-1])
+    survivors = np.bitwise_or.reduce(reach[lo:hi], axis=0)
     return int.from_bytes(survivors.astype("<u8").tobytes(), "little")
 
 

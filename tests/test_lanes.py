@@ -228,3 +228,39 @@ def test_dead_frontier_stops_reading_rows():
 
     assert embeddable_lanes(x_lanes, rows(), 1, 64) == 0
     assert len(read) == 1
+
+
+@pytest.mark.parametrize("L", [64, 200])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_band_edges_equal_per_trial_dp(m, L):
+    # x_length 0 is an empty X, L // 2 clamps the band top at len(X), and
+    # m * L and 3 * m * L give an X as long as, and longer than, any path
+    # reads.  1, 65 and 130 trials give pad lanes and a second lane word.
+    for x_length in (0, L // 2, m * L, 3 * m * L):
+        for trials in (1, 65, 130):
+            plan = TrialPlan(master_seed=31, trials=trials, m=m, L=L, x_length=x_length)
+            want = per_trial_successes(plan, 0, trials)
+            assert _count_successes(plan, 0, trials) == want, (x_length, trials)
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_band_spans_diverging_lanes(m):
+    # Even lanes climb: lane 4k is an all-ones pair, whose reach after row j
+    # is j..m*j, and lane 4k + 2 has X = (0^(m-1) 1)^L, whose only path takes
+    # gap m every row and ends at len(X).  Both raise the band top by m per
+    # row.  Odd lane 2k + 1 has X = 1^k 0...0: its reach stays at or below
+    # position k, and it dies at row k + 1 if k < L.  Y is all ones, so the
+    # band spans both groups until the odd lanes die or crawl at the bottom.
+    L, lanes = 40, 100
+    x_length = m * L
+    ones_x, ones_y = (1 << x_length) - 1, (1 << L) - 1
+    stride_x = sum(1 << (m * j - 1) for j in range(1, L + 1))
+    climbers = [ones_x, stride_x]
+    pairs = [
+        ((1 << t // 2) - 1 if t % 2 else climbers[t // 2 % 2], ones_y) for t in range(lanes)
+    ]
+    got = decide(pairs, x_length, L, m)
+    for t, (x, y) in enumerate(pairs):
+        assert (got >> t) & 1 == reference(x, y, x_length, L, m), t
+    survivors = [t for t in range(lanes) if (got >> t) & 1]
+    assert survivors == [t for t in range(lanes) if t % 2 == 0 or t // 2 >= L]
